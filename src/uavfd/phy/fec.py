@@ -17,11 +17,8 @@ RATE_DEN = 2  # two coded bits per input bit
 
 _N_STATES = 1 << TAIL_BITS
 
-# tap vectors, index k multiplies the input delayed by k steps
-_TAPS = [
-    np.array([(g >> k) & 1 for k in range(CONSTRAINT_LENGTH)], dtype=np.uint8)
-    for g in GENERATORS
-]
+# per generator, the delays k whose tap is set (bit k multiplies the input delayed by k steps)
+_TAP_DELAYS = [[k for k in range(CONSTRAINT_LENGTH) if (g >> k) & 1] for g in GENERATORS]
 
 
 def coded_length(n_payload_bits: int) -> int:
@@ -49,8 +46,12 @@ def fec_encode(bits) -> np.ndarray:
     u_tail = np.concatenate([u, np.zeros(TAIL_BITS, dtype=np.uint8)])
     n = u_tail.size
     out = np.empty(RATE_DEN * n, dtype=np.uint8)
-    for g, taps in enumerate(_TAPS):
-        out[g::RATE_DEN] = np.convolve(u_tail, taps)[:n] % 2
+    for g, delays in enumerate(_TAP_DELAYS):
+        # GF(2) convolution: XOR of the delayed copies selected by the taps
+        acc = np.zeros(n, dtype=np.uint8)
+        for k in delays:
+            acc[k:] ^= u_tail[: n - k]
+        out[g::RATE_DEN] = acc
     return out
 
 

@@ -16,6 +16,7 @@ free-running at an arbitrary (asynchronous) sample offset.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +105,23 @@ class OfdmParams:
         return t / (beta * self.preamble_samples + m)
 
 
+class _SubcarrierMaps(NamedTuple):
+    bins: np.ndarray  # FFT bin of each active subcarrier, in logical order
+    pilot_pos: np.ndarray  # pilot positions among the active subcarriers
+    data_pos: np.ndarray  # data positions among the active subcarriers
+    logical: np.ndarray  # signed subcarrier index of each active subcarrier
+    pilot_bins: np.ndarray  # bins[pilot_pos]
+    data_bins: np.ndarray  # bins[data_pos]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Freeze a cached array so no caller can corrupt later frames through it."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=8)
-def _subcarrier_maps(params: OfdmParams):
+def _subcarrier_maps(params: OfdmParams) -> _SubcarrierMaps:
     """FFT bin numbers of active subcarriers plus pilot/data positions."""
     half = params.active_subcarriers // 2
     n = params.fft_size
@@ -114,7 +130,8 @@ def _subcarrier_maps(params: OfdmParams):
     bins = np.where(logical < 0, logical + n, logical)
     pilot_pos = np.arange(0, params.active_subcarriers, params.pilot_spacing)
     data_pos = np.setdiff1d(np.arange(params.active_subcarriers), pilot_pos)
-    return bins, pilot_pos, data_pos, logical
+    maps = (bins, pilot_pos, data_pos, logical, bins[pilot_pos], bins[data_pos])
+    return _SubcarrierMaps(*(_read_only(a) for a in maps))
 
 
 def pilot_values(params: OfdmParams, n_symbols: int, pilot_stream: int = 0) -> np.ndarray:
@@ -135,7 +152,7 @@ def _pilot_matrix(params: OfdmParams, n_symbols: int, pilot_stream: int = 0) -> 
         rng = np.random.default_rng(np.random.SeedSequence([_PILOT_SEED, pilot_stream, s]))
         q = rng.integers(0, 4, size=params.n_pilots)
         rows[s] = np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * q))
-    return rows
+    return _read_only(rows)
 
 
 @lru_cache(maxsize=8)
@@ -145,14 +162,14 @@ def _preamble(params: OfdmParams) -> np.ndarray:
     Loading only even subcarriers makes the IFFT output periodic with
     period fft_size/2, which is what the half-lag timing metric detects.
     """
-    bins, _, _, logical = _subcarrier_maps(params)
-    even = logical % 2 == 0
+    maps = _subcarrier_maps(params)
+    even = maps.logical % 2 == 0
     rng = np.random.default_rng(_PREAMBLE_SEED)
     q = rng.integers(0, 4, size=int(np.sum(even)))
     spectrum = np.zeros(params.fft_size, dtype=np.complex128)
-    spectrum[bins[even]] = np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * q))
+    spectrum[maps.bins[even]] = np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * q))
     t = np.fft.ifft(spectrum)
-    return t / np.sqrt(np.mean(np.abs(t) ** 2))
+    return _read_only(t / np.sqrt(np.mean(np.abs(t) ** 2)))
 
 
 def preamble(params: OfdmParams) -> np.ndarray:
@@ -275,19 +292,17 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     coded = fec_encode(payload)
     syms = map_16qam(coded).reshape(n_symbols, params.n_data_subcarriers)
 
-    bins, pilot_pos, data_pos, _ = _subcarrier_maps(params)
-    pilots = _pilot_matrix(params, n_symbols, pilot_stream)
+    maps = _subcarrier_maps(params)
+    spectrum = np.zeros((n_symbols, params.fft_size), dtype=np.complex128)
+    spectrum[:, maps.pilot_bins] = _pilot_matrix(params, n_symbols, pilot_stream)
+    spectrum[:, maps.data_bins] = syms
+    t = np.fft.ifft(spectrum, axis=1)
 
+    cp = params.cp_length
     body = np.empty(n_symbols * params.symbol_samples, dtype=np.complex128)
-    spectrum = np.zeros(params.fft_size, dtype=np.complex128)
-    for s in range(n_symbols):
-        spectrum[:] = 0.0
-        spectrum[bins[pilot_pos]] = pilots[s]
-        spectrum[bins[data_pos]] = syms[s]
-        t = np.fft.ifft(spectrum)
-        start = s * params.symbol_samples
-        body[start : start + params.cp_length] = t[-params.cp_length :]
-        body[start + params.cp_length : start + params.symbol_samples] = t
+    rows = body.reshape(n_symbols, params.symbol_samples)
+    rows[:, :cp] = t[:, -cp:]
+    rows[:, cp:] = t
 
     body_power = np.mean(np.abs(body) ** 2)
     boost = 10.0 ** (params.preamble_boost_db / 10.0)
@@ -339,12 +354,14 @@ def impair(
         if i.size != d.size:
             reps = int(np.ceil(d.size / i.size))
             i = np.tile(i, reps)[: d.size]
-        out = out + i * 10.0 ** (-atten_interferer_db / 20.0)
+        out += i * 10.0 ** (-atten_interferer_db / 20.0)
 
     if noise_power_dbm != -math.inf:
-        p = 10.0 ** (noise_power_dbm / 10.0)
-        noise = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
-        out = out + noise * math.sqrt(p / 2.0)
+        scale = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
+        # one draw of both quadratures: the same stream as drawing I then Q
+        noise = rng.standard_normal((2, d.size))
+        out.real += noise[0] * scale
+        out.imag += noise[1] * scale
 
     return out
 

@@ -8,6 +8,11 @@ when the peak stays under the threshold, which is exactly what happens
 when co-channel interference swamps the preamble.  A matched-filter pass
 against the known preamble then refines the coarse peak to the sample.
 
+Frequency-offset de-rotation is applied only where it is used: to the
+matched-filter window in `synchronize` and to the FFT windows (CP removed)
+in `receive_frame`.  Both use absolute sample indices, so each corrected
+sample equals what de-rotating the whole buffer would give.
+
 The channel in this rig is a static complex scalar (attenuators and a
 combiner), so pilot least-squares estimates are averaged across the
 frame's OFDM symbols before interpolation, and a per-symbol common phase
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fec import fec_decode
-from .modem import FrameBuffer, OfdmParams, _pilot_matrix, _preamble, _subcarrier_maps, demap_16qam
+from .modem import OfdmParams, _as_samples, _pilot_matrix, _preamble, _subcarrier_maps, demap_16qam
 
 SYNC_THRESHOLD = 0.5
 _ENERGY_EPS = 1e-30
@@ -47,8 +52,9 @@ class RxResult:
     frame_start: int | None = None
 
 
-def _as_samples(x) -> np.ndarray:
-    return x.samples if isinstance(x, FrameBuffer) else np.asarray(x, dtype=np.complex128)
+def _derotate(x: np.ndarray, cfo_subcarriers: float, index: np.ndarray, fft_size: int) -> np.ndarray:
+    """Undo a frequency offset on samples x taken at absolute buffer positions index."""
+    return x * np.exp(-2j * math.pi * cfo_subcarriers * index / fft_size)
 
 
 def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) -> SyncResult:
@@ -57,7 +63,8 @@ def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) 
     Returns the coarse timing metric peak; success requires it to reach
     `threshold`.  On success the start estimate is refined by
     cross-correlation with the known preamble and the fractional frequency
-    offset is estimated from the half-lag correlation phase.
+    offset is estimated from the half-lag correlation phase.  The coarse
+    offset is removed from the matched-filter window only, not the buffer.
     """
     x = _as_samples(samples)
     half = params.fft_size // 2
@@ -79,7 +86,6 @@ def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) 
         return SyncResult(success=False, metric=peak_metric)
 
     cfo_coarse = float(np.angle(p[peak]) / math.pi)
-    x_corr = x * np.exp(-2j * math.pi * cfo_coarse * np.arange(x.size) / params.fft_size)
 
     # matched-filter refinement around the coarse peak
     pre = _preamble(params)
@@ -88,7 +94,7 @@ def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) 
     hi = min(x.size - pre.size, peak + window)
     if hi < lo:
         return SyncResult(success=False, metric=peak_metric)
-    seg = x_corr[lo : hi + pre.size]
+    seg = _derotate(x[lo : hi + pre.size], cfo_coarse, np.arange(lo, hi + pre.size), params.fft_size)
     xc = np.abs(np.correlate(seg, pre, mode="valid"))
     start = lo + int(np.argmax(xc))
 
@@ -116,7 +122,9 @@ def receive_frame(
     the EVM is the RMS distance of the equalized data symbols from it.
     Synchronization failure propagates as a link-down result with no EVM.
     When decode is False the Viterbi stage is skipped and no payload is
-    returned, which is considerably faster for EVM-only sweeps.
+    returned, which is considerably faster for EVM-only sweeps.  The
+    estimated frequency offset is removed from the FFT windows only (the
+    cyclic prefixes are skipped), and all symbols go through one FFT.
     """
     x = _as_samples(samples)
     ref = np.asarray(reference_symbols, dtype=np.complex128)
@@ -131,18 +139,18 @@ def receive_frame(
     if needed > x.size or n_symbols == 0:
         return RxResult(sync_success=False, sync_metric=sync.metric)
 
-    x = x * np.exp(-2j * math.pi * sync.cfo_subcarriers * np.arange(x.size) / params.fft_size)
+    # (n_symbols, fft_size) views of the FFT windows and of their positions
+    shape = (n_symbols, params.symbol_samples)
+    cp = params.cp_length
+    windows = x[sync.frame_start : needed].reshape(shape)[:, cp:]
+    index = np.arange(sync.frame_start, needed).reshape(shape)[:, cp:]
+    spectrum = np.fft.fft(_derotate(windows, sync.cfo_subcarriers, index, params.fft_size), axis=1)
 
-    bins, pilot_pos, data_pos, _ = _subcarrier_maps(params)
+    maps = _subcarrier_maps(params)
+    pilot_pos, data_pos = maps.pilot_pos, maps.data_pos
     pilots = _pilot_matrix(params, n_symbols, pilot_stream)
-
-    rx_pilots = np.empty((n_symbols, pilot_pos.size), dtype=np.complex128)
-    rx_data = np.empty((n_symbols, data_pos.size), dtype=np.complex128)
-    for s in range(n_symbols):
-        w0 = sync.frame_start + s * params.symbol_samples + params.cp_length
-        spectrum = np.fft.fft(x[w0 : w0 + params.fft_size])
-        rx_pilots[s] = spectrum[bins[pilot_pos]]
-        rx_data[s] = spectrum[bins[data_pos]]
+    rx_pilots = spectrum[:, maps.pilot_bins]
+    rx_data = spectrum[:, maps.data_bins]
 
     # static channel: average the per-pilot LS estimates over the frame,
     # aligning each symbol's common phase first so any residual rotation

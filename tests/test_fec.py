@@ -29,6 +29,15 @@ def test_encoder_matches_shift_register_oracle():
         assert np.array_equal(fec_encode(bits), shift_register_encode(bits))
 
 
+@pytest.mark.parametrize("n", [1, 7, 64, 14_694])
+def test_encoder_matches_convolution_reference(n):
+    bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+    u = np.r_[bits, np.zeros(TAIL_BITS, dtype=np.uint8)]
+    taps = [np.array([(g >> k) & 1 for k in range(CONSTRAINT_LENGTH)], dtype=np.uint8) for g in GENERATORS]
+    ref = np.stack([np.convolve(u, t)[: u.size] % 2 for t in taps], axis=1).ravel()
+    assert np.array_equal(fec_encode(bits), ref)
+
+
 def test_coded_length():
     assert coded_length(100) == 2 * 106
     assert fec_encode(np.zeros(100, dtype=np.uint8)).size == coded_length(100)

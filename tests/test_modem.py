@@ -19,6 +19,7 @@ from uavfd.phy import (
     synchronize,
     write_iq,
 )
+from uavfd.phy.modem import _pilot_matrix, _preamble, _subcarrier_maps
 
 P = OfdmParams()
 
@@ -127,6 +128,44 @@ def test_pilot_rows_differ_between_symbols_and_streams():
     assert np.allclose(np.abs(rows), 1.0)
 
 
+def test_cached_arrays_are_read_only():
+    cached = [_preamble(P), _pilot_matrix(P, 3, 0), *_subcarrier_maps(P)]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the public accessors still hand out writable copies
+    pre, pilots = preamble(P), pilot_values(P, 3)
+    pre[:] = 0
+    pilots[:] = 0
+    assert np.all(_preamble(P) != 0) and np.all(_pilot_matrix(P, 3, 0) != 0)
+
+
+def per_symbol_reference_frame(params, fb):
+    """Loop-per-symbol transmitter, independent of the vectorised build_frame."""
+    half = params.active_subcarriers // 2
+    logical = np.r_[-half:0, 1 : half + 1]
+    bins = logical % params.fft_size
+    is_pilot = np.arange(params.active_subcarriers) % params.pilot_spacing == 0
+    pilots = pilot_values(params, fb.n_symbols, fb.pilot_stream)
+    body = []
+    for s in range(fb.n_symbols):
+        spectrum = np.zeros(params.fft_size, dtype=np.complex128)
+        spectrum[bins[is_pilot]] = pilots[s]
+        spectrum[bins[~is_pilot]] = fb.data_symbols[s]
+        t = np.fft.ifft(spectrum)
+        body += [t[-params.cp_length :], t]
+    body = np.concatenate(body)
+    boost = 10.0 ** (params.preamble_boost_db / 10.0)
+    frame = np.concatenate([preamble(params) * math.sqrt(boost * np.mean(np.abs(body) ** 2)), body])
+    return frame / np.sqrt(np.mean(np.abs(frame) ** 2))
+
+
+@pytest.mark.parametrize("pilot_stream", [0, 1])
+def test_build_frame_matches_per_symbol_reference(pilot_stream):
+    fb = rand_frame(P, 3, seed=8, pilot_stream=pilot_stream)
+    np.testing.assert_allclose(fb.samples, per_symbol_reference_frame(P, fb), rtol=0, atol=1e-13)
+
+
 def test_fft_round_trip_preserves_norm():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
@@ -166,6 +205,18 @@ def test_impair_noise_power():
     fb = rand_frame(P, 2, seed=7)
     out = impair(fb, None, atten_desired_db=math.inf, noise_power_dbm=-20.0, seed=0)
     assert 10 * math.log10(np.mean(np.abs(out) ** 2)) == pytest.approx(-20.0, abs=0.3)
+
+
+def test_impair_draw_order_is_delay_then_i_then_q():
+    fb = rand_frame(P, 1, seed=8)
+    fi = rand_frame(P, 1, seed=9, pilot_stream=1)
+    out = impair(fb, fi.body_stream(), 3.0, 10.0, -30.0, seed=77)
+    rng = np.random.default_rng(77)
+    i = np.roll(fi.body_stream(), int(rng.integers(0, fi.body_stream().size)))
+    i = np.tile(i, 2)[: fb.samples.size]
+    noise = rng.standard_normal(fb.samples.size) + 1j * rng.standard_normal(fb.samples.size)
+    ref = fb.samples * 10 ** (-3.0 / 20) + i * 10 ** (-10.0 / 20) + noise * math.sqrt(1e-3 / 2)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
 
 
 def test_impair_deterministic():
@@ -256,6 +307,15 @@ def test_loopback_exact():
     assert rx.sync_success
     assert rx.evm_rms < 1e-6
     assert np.array_equal(rx.payload, fb.payload)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 777])
+def test_receive_clean_frame_after_leading_zeros(lead):
+    fb = rand_frame(P, 3, seed=23)
+    rx = receive_frame(np.r_[np.zeros(lead, complex), fb.samples], P, fb.data_symbols, decode=False)
+    assert rx.sync_success
+    assert rx.frame_start == lead + P.preamble_samples
+    assert rx.evm_rms < 1e-12
 
 
 def test_receive_reports_sync_failure():
