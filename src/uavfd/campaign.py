@@ -21,8 +21,11 @@ results do not depend on evaluation order.
 """
 
 import csv
+import ctypes
+import functools
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ import numpy as np
 from .antenna import AntennaSpec, PointingError, dipole, gain_db, horn, perturb_pointing
 from .geometry import Direction, Position, distance
 from .metrics import (
+    DEFAULT_SINR_CEILING_DB,
     CapacityConfig,
     apply_sinr_ceiling,
     capacity_fd,
@@ -37,7 +41,7 @@ from .metrics import (
     sinr_analytic,
     sinr_from_evm,
 )
-from .phy import OfdmParams, build_frame, impair, receive_frame
+from .phy import OfdmParams, RxResult, build_frame, impair, receive_frame
 from .propagation import NodeConfig, fspl_db, link_gain_db, noise_floor_dbm
 
 GS_POSITION = Position(0.0, 0.0, 0.1)
@@ -46,6 +50,8 @@ RX2_POSITION = Position(60.0, 0.0, 0.1)
 # Friis is a far-field model; closer than this the link saturates at the
 # boresight-coupled value (only reachable at the grid point on top of Rx#2).
 NEAR_FIELD_DISTANCE_M = 1.0
+
+FRAME_SYMBOLS = 28  # OFDM data symbols per frame of the waveform capacity sweep
 
 SWEEP_CSV_COLUMNS = ["x_m", "y_m", "h_m", "p_int_dbm", "p_des_dbm", "evm", "sinr_db", "capacity_bps", "sync_ok"]
 
@@ -58,7 +64,6 @@ class GridSpec:
     y_start_m: float = 0.0
     y_end_m: float = 30.0
     y_step_m: float = 2.0
-    heights_m: tuple[float, ...] = (0.1, 1.8)
 
     def __post_init__(self):
         if self.x_step_m <= 0 or self.y_step_m <= 0:
@@ -91,13 +96,18 @@ class ScenarioConfig:
     bandwidth_hz: float = 10e6
     carrier_freq_hz: float = 5.7e9
     tdd_snr_db: float = 8.11  # calibrated baseline SNR for the TDD comparison
-    sinr_ceiling_db: float = 40.0
+    sinr_ceiling_db: float = DEFAULT_SINR_CEILING_DB
     pointing_sigma_deg: float = 0.0
 
     def __post_init__(self):
-        for field_name in ("p_g_dbm", "p_u_dbm", "floor_dbm"):
-            if not math.isfinite(getattr(self, field_name)):
-                raise ValueError(f"{field_name} must be finite")
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        for field_name in ("bandwidth_hz", "carrier_freq_hz"):
+            if getattr(self, field_name) <= 0.0:
+                raise ValueError(f"{field_name} must be > 0")
+        if self.pointing_sigma_deg < 0.0:
+            raise ValueError("pointing_sigma_deg must be >= 0")
         if self.mode not in ("FD", "TDD"):
             raise ValueError(f"mode must be FD or TDD, got {self.mode!r}")
         if self.engine not in ("analytic", "waveform"):
@@ -225,20 +235,54 @@ def _reproducible_interference_dbm(scenario: ScenarioConfig, rec: SweepRecord) -
     return -math.inf
 
 
-def run_capacity_sweep(
-    scenario: ScenarioConfig,
-    grid: GridSpec,
-    seed: int = 0,
-    ofdm: OfdmParams | None = None,
-    frame_symbols: int = 28,
-    n_frames: int = 1,
-) -> list[SweepRecord]:
+@functools.cache
+def _retain_freed_heap() -> None:
+    """Keep freed buffers on the heap instead of handing them back to the OS.
+
+    A waveform point frees a few MB; glibc's adaptive trim threshold often
+    returned them, to be faulted in again on the next point (~2 ms each).
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: buffers below 32 MB come from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB of freed heap
+
+
+def measure_link(
+    params: OfdmParams,
+    n_symbols: int,
+    atten_desired_db: float,
+    atten_interferer_db: float,
+    noise_power_dbm: float,
+    seeds,
+) -> tuple[np.ndarray, RxResult]:
+    """Push one frame through the combiner rig and measure its EVM.
+
+    seeds are the (desired payload, interferer payload, impair) seeds; no
+    interferer is built when atten_interferer_db is inf.  Returns the
+    impaired samples and the receiver result (EVM only, no decoding).
+    """
+    _retain_freed_heap()
+    payload_bits = params.payload_bits(n_symbols)
+    frame = build_frame(params, np.random.default_rng(seeds[0]).integers(0, 2, payload_bits))
+    interferer = None
+    if atten_interferer_db != math.inf:
+        # the interfering uplink is a free-running co-channel modem:
+        # the victim sees its continuous data stream, not a preamble
+        bits = np.random.default_rng(seeds[1]).integers(0, 2, payload_bits)
+        interferer = build_frame(params, bits, pilot_stream=1).body_stream()
+    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise_power_dbm, seeds[2])
+    return mixed, receive_frame(mixed, params, frame.data_symbols, decode=False)
+
+
+def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> list[SweepRecord]:
     """Per-point achievable capacity from the reproduced power levels.
 
     TDD mode yields a position-independent map at the calibrated baseline
     SNR.  FD mode uses the configured engine: `analytic` computes
-    S/(I+N) from the power map; `waveform` pushes OFDM frames through the
-    combiner rig, so SINR comes from measured EVM and a point with failed
+    S/(I+N) from the power map; `waveform` runs `measure_link` on one frame
+    per point, so SINR comes from measured EVM and a point with failed
     time synchronization contributes zero capacity.
     """
     records = run_power_sweep(scenario, grid, seed)
@@ -260,52 +304,24 @@ def run_capacity_sweep(
             out.append(replace(r, sinr_db=sinr, capacity_bps=capacity_fd(cap_cfg, sinr), sync_ok=True))
         return out
 
-    params = ofdm if ofdm is not None else OfdmParams(
+    params = OfdmParams(
         sampling_rate_hz=15.36e6, bandwidth_hz=scenario.bandwidth_hz, carrier_freq_hz=scenario.carrier_freq_hz
     )
     # white receiver noise: PSD fixed by the configured floor, integrated
     # over the full sampled band
     noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
-    payload_bits = params.payload_bits(frame_symbols)
 
     out = []
     for r in records:
         i_dbm = _reproducible_interference_dbm(scenario, r)
-        evm_sq = 0.0
-        synced = True
-        for k in range(n_frames):
-            rng_d = np.random.default_rng(_derived_seed(seed, r.index, 1 + 3 * k))
-            rng_i = np.random.default_rng(_derived_seed(seed, r.index, 2 + 3 * k))
-            frame_d = build_frame(params, rng_d.integers(0, 2, payload_bits))
-            interferer = None
-            if i_dbm > -math.inf:
-                # the interfering uplink is a free-running co-channel modem:
-                # the victim sees its continuous data stream, not a preamble
-                interferer = build_frame(
-                    params, rng_i.integers(0, 2, payload_bits), pilot_stream=1
-                ).body_stream()
-            mixed = impair(
-                frame_d,
-                interferer,
-                atten_desired_db=-r.desired_dbm,
-                atten_interferer_db=-i_dbm if interferer is not None else math.inf,
-                noise_power_dbm=noise_wave_dbm,
-                seed=_derived_seed(seed, r.index, 3 + 3 * k),
-            )
-            rx = receive_frame(mixed, params, frame_d.data_symbols, decode=False)
-            if not rx.sync_success:
-                synced = False
-                break
-            evm_sq += rx.evm_rms**2
-
-        if not synced:
-            out.append(replace(r, evm_rms=None, sinr_db=None, capacity_bps=0.0, sync_ok=False))
+        seeds = [_derived_seed(seed, r.index, k) for k in (1, 2, 3)]
+        _, rx = measure_link(params, FRAME_SYMBOLS, -r.desired_dbm, -i_dbm, noise_wave_dbm, seeds)
+        if not rx.sync_success:
+            out.append(replace(r, capacity_bps=0.0, sync_ok=False))
             continue
-        evm = math.sqrt(evm_sq / n_frames)
-        sinr = apply_sinr_ceiling(sinr_from_evm(evm), scenario.sinr_ceiling_db)
-        out.append(
-            replace(r, evm_rms=evm, sinr_db=sinr, capacity_bps=capacity_fd(cap_cfg, sinr), sync_ok=True)
-        )
+        sinr = apply_sinr_ceiling(sinr_from_evm(rx.evm_rms), scenario.sinr_ceiling_db)
+        cap = capacity_fd(cap_cfg, sinr)
+        out.append(replace(r, evm_rms=rx.evm_rms, sinr_db=sinr, capacity_bps=cap, sync_ok=True))
     return out
 
 

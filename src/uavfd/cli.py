@@ -11,16 +11,17 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .antenna import dipole, horn
+from .antenna import AntennaSpec, dipole, horn
 from .campaign import (
     GridSpec,
     ScenarioConfig,
     builtin_scenarios,
+    measure_link,
     mirror_symmetry,
     read_sweep_csv,
     run_capacity_sweep,
@@ -29,7 +30,7 @@ from .campaign import (
 )
 from .duplexing import build_channel_plan, format_plan_table, validate_plan
 from .metrics import cdf, cdf_at
-from .phy import OfdmParams, build_frame, impair, noise_power_for_subcarrier_snr, receive_frame, write_iq
+from .phy import OfdmParams, noise_power_for_subcarrier_snr, write_iq
 from .placement import ObjectiveKind, PlacementObjective, best_record, feasible_region
 
 
@@ -52,29 +53,17 @@ class RunConfig:
 
 # ---------------------------------------------------------------- config file
 
-_GRID_KEYS = {
-    "grid.x_start": "x_start_m",
-    "grid.x_end": "x_end_m",
-    "grid.x_step": "x_step_m",
-    "grid.y_start": "y_start_m",
-    "grid.y_end": "y_end_m",
-    "grid.y_step": "y_step_m",
-}
-_SCENARIO_FLOAT_KEYS = {
-    "scenario.p_g_dbm": "p_g_dbm",
-    "scenario.p_u_dbm": "p_u_dbm",
-    "scenario.floor_dbm": "floor_dbm",
-    "scenario.noise_figure_db": "noise_figure_db",
-    "scenario.interferer_height_m": "interferer_height_m",
-    "scenario.bandwidth_hz": "bandwidth_hz",
-    "scenario.carrier_freq_hz": "carrier_freq_hz",
-    "scenario.tdd_snr_db": "tdd_snr_db",
-    "scenario.sinr_ceiling_db": "sinr_ceiling_db",
-    "scenario.pointing_sigma_deg": "pointing_sigma_deg",
-}
-_SCENARIO_STR_KEYS = {"scenario.mode": "mode", "scenario.engine": "engine"}
-_ANTENNA_KEYS = {"antenna.kind", "antenna.gain_dbi", "antenna.hpbw_deg", "antenna.front_to_back_db"}
-_TOP_KEYS = {"scenario", "seed", "out"}
+
+def _key_table(prefix: str, cls, skip=(), drop: str = "") -> dict:
+    """`prefix.field` config key -> (field, type) for the fields of cls but skip; keys lose `drop`."""
+    return {f"{prefix}.{f.name.replace(drop, '')}": (f.name, f.type) for f in fields(cls) if f.name not in skip}
+
+
+_SCENARIO_KEYS = _key_table("scenario", ScenarioConfig, skip=("name", "antenna"))
+_GRID_KEYS = _key_table("grid", GridSpec, drop="_m")
+_ANTENNA_KEYS = _key_table("antenna", AntennaSpec, skip=("kind",), drop="boresight_")
+_ANTENNA_BASES = {"horn": horn, "dipole": dipole}
+_OTHER_KEYS = {"scenario", "seed", "out", "antenna.kind"}
 
 
 def _parse_config_lines(path: Path) -> dict[str, tuple[str, int]]:
@@ -107,18 +96,27 @@ def _coerce(path: Path, key: str, value: str, lineno: int, kind):
         raise DataError(f"{path}:{lineno}: {key} expects a {kind.__name__}, got {value!r}") from None
 
 
+def _overrides(path: Path, entries: dict[str, tuple[str, int]], keys: dict) -> dict:
+    """Coerced `field: value` pairs for the keys of one table that the file sets."""
+    return {
+        field: _coerce(path, key, *entries[key], kind) for key, (field, kind) in keys.items() if key in entries
+    }
+
+
 def load_run_config(
     path, presets: dict[str, ScenarioConfig], scenario_flag: str | None
 ) -> RunConfig:
     """Build a RunConfig from a config file plus the --scenario flag.
 
     The flag wins over the file's `scenario` key; everything else in the
-    file overrides the chosen preset.
+    file overrides the chosen preset.  `antenna.*` values replace fields of
+    the preset's antenna, or of a stock horn()/dipole() when `antenna.kind`
+    is given.
     """
     path = Path(path)
     entries = _parse_config_lines(path)
 
-    known = _TOP_KEYS | set(_GRID_KEYS) | set(_SCENARIO_FLOAT_KEYS) | set(_SCENARIO_STR_KEYS) | _ANTENNA_KEYS
+    known = _OTHER_KEYS | _SCENARIO_KEYS.keys() | _GRID_KEYS.keys() | _ANTENNA_KEYS.keys()
     for key, (_, lineno) in entries.items():
         if key not in known:
             raise DataError(f"{path}:{lineno}: unknown key {key!r}")
@@ -128,55 +126,22 @@ def load_run_config(
         raise DataError(f"{path}: no scenario given (set 'scenario = <name>' or pass --scenario)")
     scenario = _resolve_scenario(name, presets)
 
-    scen_kw = {}
-    for key, field in _SCENARIO_FLOAT_KEYS.items():
-        if key in entries:
-            value, lineno = entries[key]
-            scen_kw[field] = _coerce(path, key, value, lineno, float)
-    for key, field in _SCENARIO_STR_KEYS.items():
-        if key in entries:
-            scen_kw[field] = entries[key][0]
-
-    if any(k in entries for k in _ANTENNA_KEYS):
-        kind = entries.get("antenna.kind", ("horn", 0))[0]
-        gain_key = entries.get("antenna.gain_dbi")
-        if kind == "horn":
-            ant = horn(
-                gain_dbi=_coerce(path, "antenna.gain_dbi", *entries["antenna.gain_dbi"], float)
-                if gain_key
-                else 21.0,
-                hpbw_deg=_coerce(path, "antenna.hpbw_deg", *entries["antenna.hpbw_deg"], float)
-                if "antenna.hpbw_deg" in entries
-                else 18.0,
-                front_to_back_db=_coerce(
-                    path, "antenna.front_to_back_db", *entries["antenna.front_to_back_db"], float
-                )
-                if "antenna.front_to_back_db" in entries
-                else 30.0,
-            )
-        elif kind == "dipole":
-            ant = dipole(
-                gain_dbi=_coerce(path, "antenna.gain_dbi", *entries["antenna.gain_dbi"], float)
-                if gain_key
-                else 2.5
-            )
-        else:
-            lineno = entries["antenna.kind"][1]
-            raise DataError(f"{path}:{lineno}: antenna.kind must be horn or dipole, got {kind!r}")
-        scen_kw["antenna"] = ant
-
+    scen_kw = _overrides(path, entries, _SCENARIO_KEYS)
+    ant_kw = _overrides(path, entries, _ANTENNA_KEYS)
     try:
-        scenario = replace(scenario, **scen_kw) if scen_kw else scenario
+        if "antenna.kind" in entries:
+            kind, lineno = entries["antenna.kind"]
+            if kind not in _ANTENNA_BASES:
+                raise DataError(f"{path}:{lineno}: antenna.kind must be horn or dipole, got {kind!r}")
+            scen_kw["antenna"] = replace(_ANTENNA_BASES[kind](), **ant_kw)
+        elif ant_kw:
+            scen_kw["antenna"] = replace(scenario.antenna, **ant_kw)
+        scenario = replace(scenario, **scen_kw)
     except ValueError as e:
         raise DataError(f"{path}: invalid scenario override: {e}") from e
 
-    grid_kw = {}
-    for key, field in _GRID_KEYS.items():
-        if key in entries:
-            value, lineno = entries[key]
-            grid_kw[field] = _coerce(path, key, value, lineno, float)
     try:
-        grid = GridSpec(**grid_kw) if grid_kw else GridSpec()
+        grid = GridSpec(**_overrides(path, entries, _GRID_KEYS))
     except ValueError as e:
         raise DataError(f"{path}: invalid grid: {e}") from e
 
@@ -257,38 +222,25 @@ def _cmd_modem(args) -> int:
         raise UsageError("--frames must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    if args.symbols < 1:
+        raise UsageError("--symbols must be >= 1")
     params = OfdmParams()
-    payload_bits = params.payload_bits(args.symbols)
     noise_dbm = noise_power_for_subcarrier_snr(params, args.snr, args.symbols)
 
-    sync_failures = 0
     evm_sq_sum = 0.0
     n_ok = 0
     for k in range(args.frames):
-        rng_d = np.random.default_rng(np.random.SeedSequence([args.seed, k, 0]))
-        frame_d = build_frame(params, rng_d.integers(0, 2, payload_bits))
-        interferer = None
-        if args.sir != math.inf:
-            rng_i = np.random.default_rng(np.random.SeedSequence([args.seed, k, 1]))
-            interferer = build_frame(params, rng_i.integers(0, 2, payload_bits), pilot_stream=1).body_stream()
-        mixed = impair(
-            frame_d,
-            interferer,
-            atten_desired_db=0.0,
-            atten_interferer_db=args.sir,
-            noise_power_dbm=noise_dbm,
-            seed=int(np.random.SeedSequence([args.seed, k, 2]).generate_state(1)[0]),
-        )
+        seeds = [np.random.SeedSequence([args.seed, k, j]) for j in (0, 1, 2)]
+        seeds[2] = int(seeds[2].generate_state(1)[0])
+        mixed, rx = measure_link(params, args.symbols, 0.0, args.sir, noise_dbm, seeds)
         if args.dump_iq and k == 0:
             write_iq(args.dump_iq, mixed)
-        rx = receive_frame(mixed, params, frame_d.data_symbols, decode=False)
         if rx.sync_success:
             n_ok += 1
             evm_sq_sum += rx.evm_rms**2
-        else:
-            sync_failures += 1
 
-    head = f"modem frames={args.frames} snr_db={args.snr:g} sir_db={args.sir:g} sync_failures={sync_failures}"
+    head = f"modem frames={args.frames} snr_db={args.snr:g} sir_db={args.sir:g}"
+    head += f" sync_failures={args.frames - n_ok}"
     if n_ok == 0:
         print(head + " sync=failed")
         return 0
@@ -328,7 +280,7 @@ def _cmd_place(args) -> int:
     kind = {k.value: k for k in ObjectiveKind}.get(args.objective)
     if kind is None:
         raise UsageError(f"unknown objective {args.objective!r}")
-    objective = PlacementObjective(kind, threshold_dbm=args.threshold)
+    objective = PlacementObjective(kind)
 
     if kind is ObjectiveKind.MAX_VICTIM_CAPACITY and all(r.capacity_bps is None for r in records):
         raise DataError(f"{args.sweep_csv}: no capacity column values; pass a capacity sweep CSV")

@@ -14,7 +14,7 @@ enforced by the channel layout: pair slot j uses channels (j, j+m) where
 the stride m covers both the pair count and the requested separation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_MIN_SEPARATION = 2
 DEFAULT_BASE_FREQ_HZ = 5.7e9
@@ -59,11 +59,6 @@ class ChannelPlan:
 
     def assignment_for(self, uav: int) -> Assignment:
         return self.assignments[uav - 1]
-
-    channel_by_index: dict = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "channel_by_index", {c.index: c for c in self.channels})
 
 
 def build_channel_plan(

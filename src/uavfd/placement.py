@@ -22,7 +22,6 @@ class ObjectiveKind(Enum):
 @dataclass(frozen=True)
 class PlacementObjective:
     kind: ObjectiveKind
-    threshold_dbm: float | None = None  # used by feasibility queries
 
 
 @dataclass(frozen=True)

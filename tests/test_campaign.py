@@ -11,6 +11,7 @@ from uavfd.campaign import (
     ScenarioConfig,
     SweepRecord,
     grid_points,
+    measure_link,
     mirror_symmetry,
     read_sweep_csv,
     run_capacity_sweep,
@@ -18,6 +19,7 @@ from uavfd.campaign import (
     write_sweep_csv,
 )
 from uavfd.metrics import capacity_fd, coverage_fraction, sinr_analytic
+from uavfd.phy import OfdmParams
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -53,6 +55,42 @@ def test_scenario_validation(scenarios):
         replace(scenarios["directional-0.1"], engine="magic")
     with pytest.raises(ValueError):
         replace(scenarios["directional-0.1"], p_g_dbm=math.nan)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("bandwidth_hz", 0.0),
+        ("bandwidth_hz", -10e6),
+        ("carrier_freq_hz", 0.0),
+        ("carrier_freq_hz", -5.7e9),
+        ("noise_figure_db", math.nan),
+        ("noise_figure_db", math.inf),
+        ("interferer_height_m", math.nan),
+        ("interferer_height_m", -math.inf),
+        ("tdd_snr_db", math.inf),
+        ("sinr_ceiling_db", math.nan),
+        ("sinr_ceiling_db", math.inf),
+        ("pointing_sigma_deg", -0.5),
+        ("pointing_sigma_deg", math.nan),
+    ],
+)
+def test_scenario_rejects_bad_numbers(scenarios, field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(scenarios["directional-0.1"], **{field: value})
+
+
+def test_measure_link_one_frame_through_the_rig():
+    params = OfdmParams()
+    mixed, rx = measure_link(params, 4, 0.0, math.inf, -math.inf, (1, 2, 3))
+    assert rx.sync_success and rx.evm_rms < 1e-9
+    assert mixed.size == params.frame_samples(4)
+    again, _ = measure_link(params, 4, 0.0, math.inf, -math.inf, (1, 2, 3))
+    assert np.array_equal(mixed, again)
+    # a finite interferer attenuation adds the interferer's stream
+    jammed, rx_i = measure_link(params, 4, 0.0, 10.0, -math.inf, (1, 2, 3))
+    assert rx_i.sync_success and 0.2 < rx_i.evm_rms < 0.5
+    assert not np.array_equal(mixed, jammed)
 
 
 def test_builtin_scenarios(scenarios):

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
-from uavfd.cli import main
+from uavfd.antenna import dipole, horn
+from uavfd.campaign import builtin_scenarios
+from uavfd.cli import load_run_config, main
 
 
 def run(args, capsys):
@@ -121,6 +123,51 @@ def test_modem_sync_failure_report(capsys):
     assert "sinr_evm_db" not in out
 
 
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        (
+            "--snr 15 --sir 20 --frames 8 --seed 3",
+            "modem frames=8 snr_db=15 sir_db=20 sync_failures=0 evm_rms=2.075234e-01 sinr_evm_db=13.659 "
+            "sinr_analytic_db=13.807 gap_db=-0.148",
+        ),
+        (
+            "--snr 20 --frames 5",
+            "modem frames=5 snr_db=20 sir_db=inf sync_failures=0 evm_rms=1.014877e-01 sinr_evm_db=19.872 "
+            "sinr_analytic_db=20.000 gap_db=-0.128",
+        ),
+        (
+            "--sir 0 --frames 4 --seed 2",
+            "modem frames=4 snr_db=inf sir_db=0 sync_failures=0 evm_rms=1.045376e+00 sinr_evm_db=-0.385 "
+            "sinr_analytic_db=-0.000 gap_db=-0.385",
+        ),
+        ("--snr -20 --frames 3", "modem frames=3 snr_db=-20 sir_db=inf sync_failures=3 sync=failed"),
+        (
+            "--snr 3 --sir -1 --frames 6 --seed 5",
+            "modem frames=6 snr_db=3 sir_db=-1 sync_failures=3 evm_rms=1.390223e+00 sinr_evm_db=-2.862 "
+            "sinr_analytic_db=-2.455 gap_db=-0.406",
+        ),
+        (
+            "--snr 10 --sir 5 --frames 3 --symbols 4 --seed 7",
+            "modem frames=3 snr_db=10 sir_db=5 sync_failures=0 evm_rms=7.691999e-01 sinr_evm_db=2.279 "
+            "sinr_analytic_db=3.807 gap_db=-1.527",
+        ),
+    ],
+)
+def test_modem_stdout_is_pinned(capsys, args, line):
+    code, out, _ = run(["modem", *args.split()], capsys)
+    assert code == 0
+    assert out == line + "\n"
+
+
+@pytest.mark.parametrize("symbols", ["0", "-1"])
+def test_modem_symbols_must_be_positive(capsys, symbols):
+    code, out, err = run(["modem", "--symbols", symbols, "--frames", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --symbols must be >= 1\n"
+
+
 def test_modem_iq_dump(tmp_path, capsys):
     dump = tmp_path / "frame.iq"
     code, _, _ = run(["modem", "--snr", "30", "--frames", "1", "--dump-iq", str(dump)], capsys)
@@ -229,6 +276,60 @@ def test_config_antenna_override(tmp_path, capsys):
     rows = read_rows(tmp_path / "directional-0.1_power.csv")
     # dipole at p_u 0 dBm: everything is louder than the horn sidelobe map
     assert all(float(r["p_int_dbm"]) > -85.0 for r in rows)
+
+
+def _antenna_from(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return load_run_config(cfg, builtin_scenarios(), None).scenario.antenna
+
+
+def test_config_antenna_fields_without_kind_edit_the_preset_antenna(tmp_path):
+    # a dipole stays a dipole, and a horn keeps its 45 dB front-to-back ratio
+    assert _antenna_from(tmp_path, "scenario = dipole-0.1\nantenna.gain_dbi = 3\n") == dipole(3.0)
+    assert _antenna_from(tmp_path, "scenario = directional-0.1\nantenna.gain_dbi = 21\n") == horn(
+        21.0, 18.0, front_to_back_db=45.0
+    )
+    assert _antenna_from(tmp_path, "scenario = directional-0.1\nantenna.hpbw_deg = 20\n") == horn(
+        21.0, 20.0, front_to_back_db=45.0
+    )
+
+
+def test_config_antenna_kind_starts_from_the_stock_pattern(tmp_path):
+    assert _antenna_from(tmp_path, "scenario = dipole-0.1\nantenna.kind = horn\n") == horn()
+    assert _antenna_from(
+        tmp_path, "scenario = dipole-0.1\nantenna.kind = horn\nantenna.gain_dbi = 15\nantenna.hpbw_deg = 30\n"
+    ) == horn(15.0, 30.0)
+    assert _antenna_from(tmp_path, "scenario = directional-0.1\nantenna.kind = dipole\n") == dipole()
+
+
+def test_config_bad_antenna_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scenario = directional-0.1\nantenna.hpbw_deg = 200\n")
+    code, _, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "bad.cfg:" in err and "hpbw_deg" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "scenario.bandwidth_hz = 0",
+        "scenario.carrier_freq_hz = -1",
+        "scenario.noise_figure_db = nan",
+        "scenario.interferer_height_m = inf",
+        "scenario.tdd_snr_db = -inf",
+        "scenario.sinr_ceiling_db = inf",
+        "scenario.pointing_sigma_deg = -1",
+    ],
+)
+def test_config_bad_scenario_value_is_data_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = directional-0.1\nout = {tmp_path}\n{line}\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"bad.cfg: invalid scenario override: {line.split()[0].removeprefix('scenario.')}" in err
 
 
 def test_sweep_waveform_engine_small_grid(tmp_path, capsys):
