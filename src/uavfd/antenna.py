@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Direction
+from .geometry import Direction, float_or_array
 
 DIPOLE_ELEVATION_FLOOR = 1e-3  # linear floor on cos(elevation)
 
@@ -72,19 +72,21 @@ class PointingError:
             raise ValueError("sigma_deg must be >= 0")
 
 
-def gain_db(spec: AntennaSpec, offset_deg: float, elevation_deg: float = 0.0) -> float:
-    """Antenna gain in dBi toward a ray.
+def gain_db(
+    spec: AntennaSpec, offset_deg: float | np.ndarray, elevation_deg: float | np.ndarray = 0.0
+) -> float | np.ndarray:
+    """Antenna gain in dBi toward a ray, or toward each ray of an array.
 
     offset_deg is the full 3D angle off boresight (used by the horn);
     elevation_deg is the ray's elevation above horizontal (used by the
-    dipole, which ignores azimuth entirely).
+    dipole, which ignores azimuth entirely).  Floats give a float.
     """
     if spec.kind is AntennaKind.HORN:
-        rolloff = 12.0 * (abs(offset_deg) / spec.hpbw_deg) ** 2
-        return spec.boresight_gain_dbi - min(rolloff, spec.front_to_back_db)
+        rolloff = 12.0 * (np.abs(offset_deg) / spec.hpbw_deg) ** 2
+        return float_or_array(spec.boresight_gain_dbi - np.minimum(rolloff, spec.front_to_back_db))
     # dipole: azimuth-omni, cosine elevation pattern
-    c = max(abs(math.cos(math.radians(elevation_deg))), DIPOLE_ELEVATION_FLOOR)
-    return spec.boresight_gain_dbi + 20.0 * math.log10(c)
+    c = np.maximum(np.abs(np.cos(np.radians(elevation_deg))), DIPOLE_ELEVATION_FLOOR)
+    return float_or_array(spec.boresight_gain_dbi + 20.0 * np.log10(c))
 
 
 def perturb_pointing(boresight: Direction, err: PointingError) -> Direction:

@@ -12,6 +12,8 @@ default): anything weaker is reported as the floor.  The capacity stage
 reproduces the measured levels with attenuators, so interference that was
 unmeasurable cannot be reproduced either and is treated as absent there.
 
+The power map is one vectorised pass: the grid becomes an (N, 3) position
+array and a single `link_gain_db` call gives every interference gain.
 Two capacity engines are provided: `analytic` converts the power map
 directly to SINR and Shannon capacity, `waveform` actually runs framed
 OFDM through the combiner rig and derives SINR from measured EVM,
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .antenna import AntennaSpec, PointingError, dipole, gain_db, horn, perturb_pointing
+from .antenna import AntennaSpec, PointingError, dipole, horn, perturb_pointing
 from .geometry import Direction, Position, distance
 from .metrics import (
     DEFAULT_SINR_CEILING_DB,
@@ -55,6 +57,14 @@ FRAME_SYMBOLS = 28  # OFDM data symbols per frame of the waveform capacity sweep
 
 SWEEP_CSV_COLUMNS = ["x_m", "y_m", "h_m", "p_int_dbm", "p_des_dbm", "evm", "sinr_db", "capacity_bps", "sync_ok"]
 
+# Each list of sweep records holds a few hundred bytes per point; 1M points is 5.5x the 0.1 m grid.
+MAX_GRID_POINTS = 1_000_000
+
+
+def _axis_len(start: float, end: float, step: float) -> int:
+    # saturates past the cap, where (end - start) / step may overflow to inf
+    return int(round(min((end - start) / step, MAX_GRID_POINTS))) + 1
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -66,17 +76,24 @@ class GridSpec:
     y_step_m: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.x_step_m <= 0 or self.y_step_m <= 0:
             raise ValueError("grid steps must be > 0")
         if self.x_end_m < self.x_start_m or self.y_end_m < self.y_start_m:
             raise ValueError("grid end must be >= start")
+        # counted before any point is built
+        nx = _axis_len(self.x_start_m, self.x_end_m, self.x_step_m)
+        if nx * _axis_len(self.y_start_m, self.y_end_m, self.y_step_m) > MAX_GRID_POINTS:
+            raise ValueError(f"more than {MAX_GRID_POINTS} points")
 
     def x_values(self) -> list[float]:
-        n = int(round((self.x_end_m - self.x_start_m) / self.x_step_m)) + 1
+        n = _axis_len(self.x_start_m, self.x_end_m, self.x_step_m)
         return [self.x_start_m + i * self.x_step_m for i in range(n)]
 
     def y_values(self) -> list[float]:
-        n = int(round((self.y_end_m - self.y_start_m) / self.y_step_m)) + 1
+        n = _axis_len(self.y_start_m, self.y_end_m, self.y_step_m)
         return [self.y_start_m + i * self.y_step_m for i in range(n)]
 
 
@@ -168,59 +185,39 @@ def _derived_seed(base_seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence([base_seed, *keys]).generate_state(1)[0])
 
 
-def _interferer_node(scenario: ScenarioConfig, pos: Position, base_seed: int, index: int) -> NodeConfig:
-    """Tx#1 at a grid point, aimed (possibly imperfectly) at the ground station."""
-    aim = GS_POSITION
-    if scenario.pointing_sigma_deg > 0.0:
-        bore = Direction.between(pos, GS_POSITION)
-        err = PointingError(scenario.pointing_sigma_deg, _derived_seed(base_seed, index, 0))
-        d = perturb_pointing(bore, err)
-        aim = Position(pos.x + d.x, pos.y + d.y, pos.z + d.z)
-    return NodeConfig(pos, scenario.antenna, aim, tx_power_dbm=scenario.p_u_dbm)
-
-
-def _interference_gain_db(scenario: ScenarioConfig, tx1: NodeConfig, rx2: NodeConfig) -> float:
-    d = distance(tx1.position, rx2.position)
-    if d == 0.0:
-        # interferer standing on the receiver: boresight-coupled near-field cap
-        g_tx = gain_db(scenario.antenna, 0.0, 0.0)
-        g_rx = gain_db(scenario.antenna, 0.0, 0.0)
-        return g_tx + g_rx - fspl_db(NEAR_FIELD_DISTANCE_M, scenario.carrier_freq_hz)
-    gain = link_gain_db(tx1, rx2, scenario.carrier_freq_hz)
-    if d < NEAR_FIELD_DISTANCE_M:
-        # angles stay physical; only the path loss saturates
-        gain += fspl_db(d, scenario.carrier_freq_hz) - fspl_db(NEAR_FIELD_DISTANCE_M, scenario.carrier_freq_hz)
-    return gain
-
-
 def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> list[SweepRecord]:
     """Measure desired and interference channel powers over the grid.
 
     The ground station and victim stay fixed and mutually aligned; the
     desired power is therefore measured once.  The interferer is re-aimed
     at the ground station from every grid point, and its received power is
-    clamped below at the instrument floor.
+    clamped below at the instrument floor.  All interference gains come
+    from one `link_gain_db` call over the grid's (N, 3) position array.
     """
+    f = scenario.carrier_freq_hz
     rx2 = NodeConfig(RX2_POSITION, scenario.antenna, GS_POSITION)
-    tx2 = NodeConfig(GS_POSITION, scenario.antenna, RX2_POSITION, tx_power_dbm=scenario.p_g_dbm)
+    tx2 = NodeConfig(GS_POSITION, scenario.antenna, RX2_POSITION)
+    desired = max(scenario.p_g_dbm + link_gain_db(tx2, rx2, f), scenario.floor_dbm)
 
-    desired_raw = scenario.p_g_dbm + link_gain_db(tx2, rx2, scenario.carrier_freq_hz)
-    desired = max(desired_raw, scenario.floor_dbm)
-
-    records = []
-    for i, pos in enumerate(grid_points(grid, scenario.interferer_height_m)):
-        tx1 = _interferer_node(scenario, pos, seed, i)
-        raw = scenario.p_u_dbm + _interference_gain_db(scenario, tx1, rx2)
-        records.append(
-            SweepRecord(
-                index=i,
-                position=pos,
-                interference_dbm=max(raw, scenario.floor_dbm),
-                interference_raw_dbm=raw,
-                desired_dbm=desired,
-            )
-        )
-    return records
+    points = grid_points(grid, scenario.interferer_height_m)
+    pos = np.array([p.as_tuple() for p in points])
+    aims = np.broadcast_to(GS_POSITION.as_tuple(), pos.shape)
+    if scenario.pointing_sigma_deg > 0.0:
+        # each point's aim is off by a pointing error seeded from its index
+        errs = (PointingError(scenario.pointing_sigma_deg, _derived_seed(seed, i, 0)) for i in range(len(pos)))
+        bores = (Direction.between(p, GS_POSITION) for p in points)
+        aims = pos + np.array([perturb_pointing(b, e).as_tuple() for b, e in zip(bores, errs)])
+    d = distance(pos, RX2_POSITION)
+    apart = d > 0.0
+    # an interferer standing on the receiver couples boresight to boresight
+    gain = np.full(len(pos), 2.0 * scenario.antenna.boresight_gain_dbi - fspl_db(NEAR_FIELD_DISTANCE_M, f))
+    # far-field Friis: the angles stay physical, the path loss is taken at max(d, NEAR_FIELD_DISTANCE_M)
+    friis_d = np.maximum(d[apart], NEAR_FIELD_DISTANCE_M)
+    tx1 = NodeConfig(pos[apart], scenario.antenna, aims[apart])
+    gain[apart] = link_gain_db(tx1, rx2, f) + (fspl_db(d[apart], f) - fspl_db(friis_d, f))
+    raw = (scenario.p_u_dbm + gain).tolist()
+    floor = scenario.floor_dbm
+    return [SweepRecord(i, p, max(r, floor), r, desired) for i, (p, r) in enumerate(zip(points, raw))]
 
 
 def _reproducible_interference_dbm(scenario: ScenarioConfig, rec: SweepRecord) -> float:

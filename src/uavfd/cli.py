@@ -314,9 +314,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_or_inf(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}") from None
+        value = math.nan
+    if math.isnan(value) or value == -math.inf:  # either would push NaN samples through the receiver
+        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

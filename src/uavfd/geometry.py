@@ -3,11 +3,14 @@
 Right-handed metric frame: the ground station sits at the origin, the x-axis
 points toward the victim receiver, z points up.  All coordinates are in
 meters.  Everything here is a pure function on immutable values, so it is
-safe to call from concurrent sweeps without coordination.
+safe to call from concurrent sweeps without coordination.  The distance and
+angle functions take Positions or (..., 3) position arrays and broadcast them.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -30,6 +33,9 @@ class Position:
         return (self.x, self.y, self.z)
 
 
+Points = Position | np.ndarray  # one Position, or positions along the last axis of an array
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit 3-vector (Euclidean norm 1 within 1e-12)."""
@@ -39,33 +45,48 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        n = float(_norm(np.array(self.as_tuple())))
         if abs(n - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"Direction must be unit length, norm={n!r}")
 
     @classmethod
     def from_vector(cls, x: float, y: float, z: float) -> "Direction":
         """Normalize an arbitrary non-zero vector into a Direction."""
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0 or not math.isfinite(n):
+        v = np.array((x, y, z), dtype=float)
+        n = _norm(v)
+        if n == 0.0 or not np.isfinite(n):
             raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(x / n, y / n, z / n)
+        return cls(*(v / n).tolist())
 
     @classmethod
     def between(cls, origin: Position, target: Position) -> "Direction":
         """Unit vector from `origin` toward `target`."""
-        return cls.from_vector(target.x - origin.x, target.y - origin.y, target.z - origin.z)
+        return cls.from_vector(*(_xyz(target) - _xyz(origin)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two positions in meters."""
-    return math.dist(a.as_tuple(), b.as_tuple())
+def _xyz(p: Points) -> np.ndarray:
+    """Coordinates of a Position, or of a (..., 3) array of positions, as a float array."""
+    return np.array(p.as_tuple()) if isinstance(p, Position) else np.asarray(p, dtype=float)
 
 
-def boresight_offset(node_pos: Position, pointing_target: Position, target_pos: Position) -> float:
+def float_or_array(a: np.ndarray) -> float | np.ndarray:
+    """A 0-d result as a Python float; a larger one stays an array."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=-1))
+
+
+def distance(a: Points, b: Points) -> float | np.ndarray:
+    """Euclidean distance between positions in meters."""
+    return float_or_array(_norm(_xyz(b) - _xyz(a)))
+
+
+def boresight_offset(node_pos: Points, pointing_target: Points, target_pos: Points) -> float | np.ndarray:
     """Angle in degrees between a node's boresight and the ray to a target.
 
     The boresight is the ray node_pos -> pointing_target; the result is the
@@ -73,27 +94,25 @@ def boresight_offset(node_pos: Position, pointing_target: Position, target_pos: 
     (pointing_target, target_pos) and invariant under rigid transforms of all
     three points.
 
-    Raises ValueError when either ray is degenerate (coincident points).
+    Raises ValueError when any ray is degenerate (coincident points).
     """
-    v1 = (pointing_target.x - node_pos.x, pointing_target.y - node_pos.y, pointing_target.z - node_pos.z)
-    v2 = (target_pos.x - node_pos.x, target_pos.y - node_pos.y, target_pos.z - node_pos.z)
-    n1 = math.sqrt(v1[0] ** 2 + v1[1] ** 2 + v1[2] ** 2)
-    n2 = math.sqrt(v2[0] ** 2 + v2[1] ** 2 + v2[2] ** 2)
-    if n1 == 0.0:
+    node = _xyz(node_pos)
+    v1 = _xyz(pointing_target) - node
+    v2 = _xyz(target_pos) - node
+    n1, n2 = _norm(v1), _norm(v2)
+    if np.any(n1 == 0.0):
         raise ValueError("pointing_target coincides with node_pos; boresight undefined")
-    if n2 == 0.0:
+    if np.any(n2 == 0.0):
         raise ValueError("target_pos coincides with node_pos; target ray undefined")
-    cosang = (v1[0] * v2[0] + v1[1] * v2[1] + v1[2] * v2[2]) / (n1 * n2)
-    # guard acos against rounding just outside [-1, 1]
-    cosang = min(1.0, max(-1.0, cosang))
-    return math.degrees(math.acos(cosang))
+    # clip guards acos against rounding just outside [-1, 1]
+    cosang = np.clip((v1 * v2).sum(axis=-1) / (n1 * n2), -1.0, 1.0)
+    return float_or_array(np.degrees(np.arccos(cosang)))
 
 
-def elevation_angle(origin: Position, target: Position) -> float:
+def elevation_angle(origin: Points, target: Points) -> float | np.ndarray:
     """Elevation in degrees of the ray origin -> target above the horizontal plane."""
-    d = distance(origin, target)
-    if d == 0.0:
+    v = _xyz(target) - _xyz(origin)
+    d = _norm(v)
+    if np.any(d == 0.0):
         raise ValueError("elevation undefined for coincident points")
-    s = (target.z - origin.z) / d
-    s = min(1.0, max(-1.0, s))
-    return math.degrees(math.asin(s))
+    return float_or_array(np.degrees(np.arcsin(np.clip(v[..., 2] / d, -1.0, 1.0))))

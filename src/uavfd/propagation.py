@@ -3,13 +3,19 @@
 The aerial channel between elevated nodes is LOS-dominated, and the ground
 measurement eliminates the ground bounce by design, so a single-path Friis
 model is used throughout: no two-ray term, no atmospheric absorption.
+
+`fspl_db` and `link_gain_db` are array-first: a node's position and
+pointing target may each be a `Position` or a (..., 3) array of positions,
+so one call evaluates a whole grid of links; single links give a float.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .antenna import AntennaSpec, gain_db
-from .geometry import Position, boresight_offset, distance, elevation_angle
+from .geometry import Points, boresight_offset, distance, elevation_angle, float_or_array
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -17,68 +23,39 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """A transmitter or receiver: where it is, what it radiates with, where it aims."""
+    """A transmitter or receiver (or a batch of them): where it is, what it radiates with, where it aims."""
 
-    position: Position
+    position: Points
     antenna: AntennaSpec
-    pointing_target: Position
-    tx_power_dbm: float = 0.0
+    pointing_target: Points
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Log-domain power accounting for one link; rx = tx + gains - path loss."""
-
-    tx_power_dbm: float
-    tx_gain_dbi: float
-    rx_gain_dbi: float
-    path_loss_db: float
-    rx_power_dbm: float
-
-    @property
-    def channel_gain_db(self) -> float:
-        """Antenna-to-antenna channel gain (what a network analyzer measures)."""
-        return self.tx_gain_dbi + self.rx_gain_dbi - self.path_loss_db
-
-
-def fspl_db(d_m: float, f_hz: float) -> float:
+def fspl_db(d_m: float | np.ndarray, f_hz: float) -> float | np.ndarray:
     """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
-    if d_m <= 0.0:
-        raise ValueError(f"distance must be > 0 m, got {d_m}")
+    d_m = np.asarray(d_m, dtype=float)
+    if np.any(d_m <= 0.0):
+        raise ValueError(f"distance must be > 0 m, got {np.min(d_m)}")
     if f_hz <= 0.0:
         raise ValueError(f"frequency must be > 0 Hz, got {f_hz}")
-    return 20.0 * math.log10(4.0 * math.pi * d_m * f_hz / SPEED_OF_LIGHT)
+    return float_or_array(20.0 * np.log10(4.0 * np.pi * d_m * f_hz / SPEED_OF_LIGHT))
 
 
-def link_budget(tx: NodeConfig, rx: NodeConfig, f_hz: float) -> LinkBudget:
-    """Evaluate one directed link with both antenna patterns and Friis loss."""
-    d = distance(tx.position, rx.position)
-    if d == 0.0:
-        raise ValueError("tx and rx positions coincide; link undefined")
-    tx_off = boresight_offset(tx.position, tx.pointing_target, rx.position)
-    rx_off = boresight_offset(rx.position, rx.pointing_target, tx.position)
-    tx_elev = elevation_angle(tx.position, rx.position)
-    rx_elev = elevation_angle(rx.position, tx.position)
-    tx_g = gain_db(tx.antenna, tx_off, tx_elev)
-    rx_g = gain_db(rx.antenna, rx_off, rx_elev)
-    loss = fspl_db(d, f_hz)
-    return LinkBudget(
-        tx_power_dbm=tx.tx_power_dbm,
-        tx_gain_dbi=tx_g,
-        rx_gain_dbi=rx_g,
-        path_loss_db=loss,
-        rx_power_dbm=tx.tx_power_dbm + tx_g + rx_g - loss,
-    )
-
-
-def link_gain_db(tx: NodeConfig, rx: NodeConfig, f_hz: float) -> float:
+def link_gain_db(tx: NodeConfig, rx: NodeConfig, f_hz: float) -> float | np.ndarray:
     """Channel gain in dB from tx antenna port to rx antenna port.
 
     This is the simulated analogue of a measured channel power: transmit
     pattern gain toward rx, plus receive pattern gain toward tx, minus
-    free-space path loss at f_hz.
+    free-space path loss at f_hz.  Raises ValueError when tx and rx
+    coincide anywhere in the batch.
     """
-    return link_budget(tx, rx, f_hz).channel_gain_db
+    d = distance(tx.position, rx.position)
+    if np.any(d == 0.0):
+        raise ValueError("tx and rx positions coincide; link undefined")
+    tx_off = boresight_offset(tx.position, tx.pointing_target, rx.position)
+    rx_off = boresight_offset(rx.position, rx.pointing_target, tx.position)
+    tx_g = gain_db(tx.antenna, tx_off, elevation_angle(tx.position, rx.position))
+    rx_g = gain_db(rx.antenna, rx_off, elevation_angle(rx.position, tx.position))
+    return tx_g + rx_g - fspl_db(d, f_hz)
 
 
 def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:

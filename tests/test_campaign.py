@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavfd.campaign import (
     GS_POSITION,
+    MAX_GRID_POINTS,
     RX2_POSITION,
     GridSpec,
     ScenarioConfig,
@@ -46,6 +49,46 @@ def test_grid_validation():
         GridSpec(x_step_m=0.0)
     with pytest.raises(ValueError):
         GridSpec(x_start_m=10, x_end_m=5)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("x_step_m", math.nan),
+        ("y_step_m", math.inf),
+        ("x_start_m", math.nan),
+        ("y_start_m", -math.inf),
+        ("x_end_m", math.inf),
+        ("y_end_m", math.nan),
+    ],
+)
+def test_grid_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        GridSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"x_step_m": 1e-6},
+        {"y_step_m": 1e-6},
+        {"x_step_m": 5e-324},
+        {"x_start_m": -1e308, "x_end_m": 1e308},
+        {"x_step_m": 0.04, "y_step_m": 0.04},  # 1,501 x 751 points
+    ],
+)
+def test_grid_rejects_too_many_points(kw):
+    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+        GridSpec(**kw)
+
+
+def test_grid_point_cap_admits_the_fine_grids():
+    fine = GridSpec(x_step_m=0.1, y_step_m=0.1)
+    assert len(fine.x_values()) * len(fine.y_values()) == 601 * 301
+    edge = GridSpec(x_start_m=0, x_end_m=999, x_step_m=1, y_start_m=0, y_end_m=999, y_step_m=1)
+    assert len(edge.x_values()) * len(edge.y_values()) == MAX_GRID_POINTS
+    with pytest.raises(ValueError):
+        GridSpec(x_start_m=0, x_end_m=1000, x_step_m=1, y_start_m=0, y_end_m=999, y_step_m=1)
 
 
 def test_scenario_validation(scenarios):
@@ -272,3 +315,24 @@ def test_dipole_scenario_is_interference_limited(power_dipole):
     # 27.5 dBm transmit through near-omni antennas: nothing sits at the floor
     assert all(not r.at_floor for r in power_dipole)
     assert min(r.interference_dbm for r in power_dipole) > -60.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(["directional-0.1", "directional-1.8", "dipole-0.1", "tdd-baseline"]),
+    x_start=st.integers(1, 80),  # x = 0 would put the interferer on the ground station
+    nx=st.integers(1, 12),
+    ny=st.integers(0, 10),
+    y_step=st.sampled_from([0.5, 1.0, 2.0, 2.5]),
+)
+def test_power_sweep_is_mirror_symmetric_in_y(scenarios, preset, x_start, nx, ny, y_step):
+    """A grid spanning -y..+y gives the same power at (x, y) and (x, -y)."""
+    grid = GridSpec(
+        x_start_m=x_start, x_end_m=x_start + 2 * (nx - 1), x_step_m=2.0,
+        y_start_m=-ny * y_step, y_end_m=ny * y_step, y_step_m=y_step,
+    )
+    records = run_power_sweep(scenarios[preset], grid)
+    ys = np.array([r.position.y for r in records]).reshape(nx, 2 * ny + 1)
+    assert np.array_equal(ys, -ys[:, ::-1])
+    raw = np.array([r.interference_raw_dbm for r in records]).reshape(nx, 2 * ny + 1)
+    np.testing.assert_allclose(raw, raw[:, ::-1], rtol=0.0, atol=1e-12)

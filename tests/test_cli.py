@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 
 import pytest
@@ -168,6 +169,22 @@ def test_modem_symbols_must_be_positive(capsys, symbols):
     assert err == "error: --symbols must be >= 1\n"
 
 
+@pytest.mark.parametrize("flag", ["--snr", "--sir"])
+@pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "-inf", "fast"])
+def test_modem_rejects_nan_and_minus_inf_levels(capsys, flag, value):
+    code, out, err = run(["modem", f"{flag}={value}", "--frames", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument {flag}: expected a number or 'inf', got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "+inf", "Infinity"])
+def test_modem_accepts_infinite_levels(capsys, value):
+    code, out, _ = run(["modem", f"--sir={value}", "--frames", "1"], capsys)
+    assert code == 0
+    assert out.startswith(f"modem frames=1 snr_db=inf sir_db={float(value):g} ")
+
+
 def test_modem_iq_dump(tmp_path, capsys):
     dump = tmp_path / "frame.iq"
     code, _, _ = run(["modem", "--snr", "30", "--frames", "1", "--dump-iq", str(dump)], capsys)
@@ -330,6 +347,66 @@ def test_config_bad_scenario_value_is_data_error(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert f"bad.cfg: invalid scenario override: {line.split()[0].removeprefix('scenario.')}" in err
+
+
+@pytest.mark.parametrize(
+    "line,field",
+    [
+        ("grid.x_step = nan", "x_step_m must be finite"),
+        ("grid.y_start = nan", "y_start_m must be finite"),
+        ("grid.x_end = inf", "x_end_m must be finite"),
+        ("grid.y_step = -inf", "y_step_m must be finite"),
+        ("grid.x_step = 1e-6", "more than 1000000 points"),
+    ],
+)
+def test_config_bad_grid_is_data_error(tmp_path, capsys, line, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = directional-0.1\nout = {tmp_path}\n{line}\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"bad.cfg: invalid grid: {field}" in err
+
+
+# SHA-256 of every CSV `uavfd sweep --engine analytic` writes, recorded before
+# the power map became one array pass: the four presets on the default grid,
+# and directional-0.1 with 2 deg of pointing error at seed 1 (under pointing/).
+SWEEP_CSV_SHA256 = {
+    "dipole-0.1_capacity.csv": "b664de86efb37a3edb42f37cb5a114ce2b26263c3d763d75e691379c1263b839",
+    "dipole-0.1_capacity_mirrored.csv": "651ceeafcb4837459ed888cc7d8ee582de12444c6d24581c9b8e2830aca55e20",
+    "dipole-0.1_power.csv": "54e45257946e445d2049de96ce6f8ca875726f851995289dce7c670de60ebcb2",
+    "dipole-0.1_power_mirrored.csv": "6e3a319bfc52151964d54babfa7965b89c9917f0d1236a14490a7ef2aa0ca32a",
+    "directional-0.1_capacity.csv": "9a0f2733a123442b66c6db14b98458a075c6ccbca822b9e341c2dd51e25c02a1",
+    "directional-0.1_capacity_mirrored.csv": "cb6dfb10f9f861f665cf551adf9c33ac01f86038908d0f435bcf236b3a3d513c",
+    "directional-0.1_power.csv": "75884c2d81fe8175eb7c58302b7f0f4945c7149c615944a142afb61841515fb1",
+    "directional-0.1_power_mirrored.csv": "fd0a277552ca37dd6663068b706911ad57f4bb8650996ff15330f46488124a90",
+    "directional-1.8_capacity.csv": "a6c61cf9160d50ba32ab73fde4e3feda078d5292860dfd675241a114611bc1ef",
+    "directional-1.8_capacity_mirrored.csv": "f7183a06ace9c2b8d709b5d2e517592414f0ae99b287e3cc038c3b3ae59f6fe8",
+    "directional-1.8_power.csv": "a0db4251aa787e9a2b476d094629512104e3bd6c876312ab2b3b4a38373e18fc",
+    "directional-1.8_power_mirrored.csv": "20bebb5468e4054b8ae8254b4fc766864335fe6ec9840d936e6723c071e2ad18",
+    "pointing/directional-0.1_capacity.csv": "5ad03f8c0038c6afcb1f99480aef9458d3c01dedfb8c1e72cb7303d80d478171",
+    "pointing/directional-0.1_capacity_mirrored.csv": "bbbac4b09fbf53cf2643e2406263a2638fc13561f1ec0e778452b0cf367657b4",
+    "pointing/directional-0.1_power.csv": "e8ba908b7ff8af5fa0272de4e37e5ae580834d8cc2e039aee9bada62249b7f07",
+    "pointing/directional-0.1_power_mirrored.csv": "c61e3871b08e2a300d83dcb0f257623880acd1187b31389b166cf49c7b6a3059",
+    "tdd-baseline_capacity.csv": "c628a59d390934b1fe5847537f64d38602562f678eef163a0612975a8507ab09",
+    "tdd-baseline_capacity_mirrored.csv": "0da1c2287cb335ae9aa10be46d1a10eaa6108f4cb74831dd6afac34cd41b2570",
+    "tdd-baseline_power.csv": "75884c2d81fe8175eb7c58302b7f0f4945c7149c615944a142afb61841515fb1",
+    "tdd-baseline_power_mirrored.csv": "fd0a277552ca37dd6663068b706911ad57f4bb8650996ff15330f46488124a90",
+}
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
+    for preset in ("directional-0.1", "directional-1.8", "dipole-0.1", "tdd-baseline"):
+        assert run(["sweep", "--scenario", preset, "--engine", "analytic", "--out", str(tmp_path)], capsys)[0] == 0
+    cfg = tmp_path / "pointing.cfg"
+    cfg.write_text("scenario = directional-0.1\nscenario.pointing_sigma_deg = 2\nseed = 1\n")
+    out = tmp_path / "pointing"
+    assert run(["sweep", "--config", str(cfg), "--engine", "analytic", "--out", str(out)], capsys)[0] == 0
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*.csv")
+    }
+    assert digests == SWEEP_CSV_SHA256
 
 
 def test_sweep_waveform_engine_small_grid(tmp_path, capsys):
