@@ -20,9 +20,14 @@ OFDM through the combiner rig and derives SINR from measured EVM,
 including the possibility of synchronization failure.  Grid points are
 independent; per-point seeds are derived from (sweep seed, grid index) so
 results do not depend on evaluation order.
+
+Sweep results are a `SweepTable` of float64 columns, row i being grid
+point i: x, y, h, reported and raw interference, desired power, EVM,
+SINR, capacity and sync (1.0/0.0).  NaN marks what a sweep did not
+produce.  Mirroring, the CSV writer and reader and the capacity stage
+all work on whole columns; rows come out as `SweepRecord`s on demand.
 """
 
-import csv
 import ctypes
 import functools
 import math
@@ -57,7 +62,7 @@ FRAME_SYMBOLS = 28  # OFDM data symbols per frame of the waveform capacity sweep
 
 SWEEP_CSV_COLUMNS = ["x_m", "y_m", "h_m", "p_int_dbm", "p_des_dbm", "evm", "sinr_db", "capacity_bps", "sync_ok"]
 
-# Each list of sweep records holds a few hundred bytes per point; 1M points is 5.5x the 0.1 m grid.
+# A sweep table holds 80 bytes per point (ten float64 columns); 1M points is 5.5x the 0.1 m grid.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -136,17 +141,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Result at one grid point.
+    """Result at one grid point: one row of a SweepTable.
 
     interference_dbm is the reported (floor-clamped) received interference;
     interference_raw_dbm keeps the unclamped model value for statistics that
-    need to know whether a point was actually at the sensitivity floor.
+    need to know whether a point was actually at the sensitivity floor.  It
+    is None for a sweep read back from CSV, which stores the reported level only.
     """
 
     index: int
     position: Position
     interference_dbm: float
-    interference_raw_dbm: float
+    interference_raw_dbm: float | None
     desired_dbm: float
     evm_rms: float | None = None
     sinr_db: float | None = None
@@ -156,7 +162,73 @@ class SweepRecord:
     @property
     def at_floor(self) -> bool:
         """True when the reported interference was clamped up to the floor."""
+        if self.interference_raw_dbm is None:
+            raise ValueError("raw interference unknown: a sweep CSV stores the reported level only")
         return self.interference_raw_dbm < self.interference_dbm
+
+
+@dataclass(eq=False)
+class SweepTable:
+    """Sweep results as float64 columns of one length; row i is grid point i.
+
+    NaN marks a value the sweep did not produce (see the module docstring);
+    sync_ok holds 1.0 or 0.0.  table[i] and iteration give SweepRecord rows
+    with None for NaN, table[i] = record writes a row, a slice or take()
+    gives a new table of the selected rows.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    interference_dbm: np.ndarray
+    interference_raw_dbm: np.ndarray
+    desired_dbm: np.ndarray
+    evm_rms: np.ndarray
+    sinr_db: np.ndarray
+    capacity_bps: np.ndarray
+    sync_ok: np.ndarray
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def take(self, rows) -> "SweepTable":
+        """A new table of the rows an index array or a boolean mask selects."""
+        return SweepTable(*(c[rows] for c in self.columns()))
+
+    def power_map(self) -> "SweepTable":
+        """The power-sweep columns of this table; the capacity-stage columns read as unknown."""
+        return replace(self, **{name: _unknown(len(self)) for name in _CAPACITY_COLUMNS})
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __iter__(self):
+        return (_record(i, row) for i, row in enumerate(zip(*(c.tolist() for c in self.columns()))))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        return _record(i, [c[i].item() for c in self.columns()])
+
+    def __setitem__(self, i, rec: SweepRecord) -> None:
+        # the columns after x, y, h share their names with the record's fields
+        values = (*rec.position.as_tuple(), *(getattr(rec, f.name) for f in fields(self)[3:]))
+        for col, v in zip(self.columns(), values):
+            col[i] = math.nan if v is None else v
+
+
+_CAPACITY_COLUMNS = ("evm_rms", "sinr_db", "capacity_bps", "sync_ok")
+
+
+def _unknown(n: int) -> np.ndarray:
+    return np.full(n, math.nan)
+
+
+def _record(index: int, row) -> SweepRecord:
+    x, y, h, *values = row
+    *values, sync = (None if v != v else v for v in values)  # NaN -> None
+    return SweepRecord(index, Position(x, y, h), *values, None if sync is None else sync == 1.0)
 
 
 def builtin_scenarios() -> dict[str, ScenarioConfig]:
@@ -176,16 +248,17 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
     }
 
 
-def grid_points(spec: GridSpec, height_m: float) -> list[Position]:
-    """Row-major grid enumeration (x outer, y inner) at one height."""
-    return [Position(x, y, height_m) for x in spec.x_values() for y in spec.y_values()]
+def grid_positions(spec: GridSpec, height_m: float) -> np.ndarray:
+    """(N, 3) grid positions at one height, row-major (x outer, y inner)."""
+    xs, ys = np.array(spec.x_values()), np.array(spec.y_values())
+    return np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs)), np.full(len(xs) * len(ys), height_m)))
 
 
 def _derived_seed(base_seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence([base_seed, *keys]).generate_state(1)[0])
 
 
-def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> list[SweepRecord]:
+def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
     """Measure desired and interference channel powers over the grid.
 
     The ground station and victim stay fixed and mutually aligned; the
@@ -193,19 +266,23 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
     at the ground station from every grid point, and its received power is
     clamped below at the instrument floor.  All interference gains come
     from one `link_gain_db` call over the grid's (N, 3) position array.
+    A grid point on the ground station itself has no aim: ValueError.
     """
     f = scenario.carrier_freq_hz
     rx2 = NodeConfig(RX2_POSITION, scenario.antenna, GS_POSITION)
     tx2 = NodeConfig(GS_POSITION, scenario.antenna, RX2_POSITION)
     desired = max(scenario.p_g_dbm + link_gain_db(tx2, rx2, f), scenario.floor_dbm)
 
-    points = grid_points(grid, scenario.interferer_height_m)
-    pos = np.array([p.as_tuple() for p in points])
+    pos = grid_positions(grid, scenario.interferer_height_m)
+    on_gs = (pos == GS_POSITION.as_tuple()).all(axis=1)
+    if on_gs.any():
+        x, y, h = pos[on_gs.argmax()]
+        raise ValueError(f"grid point ({x:g}, {y:g}, {h:g}) m is the ground station the interferer aims at")
     aims = np.broadcast_to(GS_POSITION.as_tuple(), pos.shape)
     if scenario.pointing_sigma_deg > 0.0:
         # each point's aim is off by a pointing error seeded from its index
         errs = (PointingError(scenario.pointing_sigma_deg, _derived_seed(seed, i, 0)) for i in range(len(pos)))
-        bores = (Direction.between(p, GS_POSITION) for p in points)
+        bores = (Direction.between(p, GS_POSITION) for p in pos)
         aims = pos + np.array([perturb_pointing(b, e).as_tuple() for b, e in zip(bores, errs)])
     d = distance(pos, RX2_POSITION)
     apart = d > 0.0
@@ -215,21 +292,10 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
     friis_d = np.maximum(d[apart], NEAR_FIELD_DISTANCE_M)
     tx1 = NodeConfig(pos[apart], scenario.antenna, aims[apart])
     gain[apart] = link_gain_db(tx1, rx2, f) + (fspl_db(d[apart], f) - fspl_db(friis_d, f))
-    raw = (scenario.p_u_dbm + gain).tolist()
-    floor = scenario.floor_dbm
-    return [SweepRecord(i, p, max(r, floor), r, desired) for i, (p, r) in enumerate(zip(points, raw))]
-
-
-def _reproducible_interference_dbm(scenario: ScenarioConfig, rec: SweepRecord) -> float:
-    """Interference level the capacity rig can reproduce, -inf when unmeasurable.
-
-    Attenuators are set from the measured (clamped) power map; a point
-    whose interference sat below the sensitivity floor has nothing to
-    reproduce, so the rig injects no interferer there.
-    """
-    if rec.interference_raw_dbm >= scenario.floor_dbm:
-        return rec.interference_dbm
-    return -math.inf
+    raw = scenario.p_u_dbm + gain
+    n = len(pos)
+    powers = (np.maximum(raw, scenario.floor_dbm), raw, np.full(n, desired))
+    return SweepTable(*pos.T.copy(), *powers, *(_unknown(n) for _ in _CAPACITY_COLUMNS))
 
 
 @functools.cache
@@ -273,128 +339,117 @@ def measure_link(
     return mixed, receive_frame(mixed, params, frame.data_symbols, decode=False)
 
 
-def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> list[SweepRecord]:
+def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
     """Per-point achievable capacity from the reproduced power levels.
 
     TDD mode yields a position-independent map at the calibrated baseline
     SNR.  FD mode uses the configured engine: `analytic` computes
     S/(I+N) from the power map; `waveform` runs `measure_link` on one frame
     per point, so SINR comes from measured EVM and a point with failed
-    time synchronization contributes zero capacity.
+    time synchronization contributes zero capacity.  The power map's
+    columns are filled in, so the result carries both stages.
     """
-    records = run_power_sweep(scenario, grid, seed)
+    table = run_power_sweep(scenario, grid, seed)
     cap_cfg = scenario.capacity_config()
 
     if scenario.mode == "TDD":
-        cap = capacity_tdd(cap_cfg, scenario.tdd_snr_db)
-        return [
-            replace(r, sinr_db=scenario.tdd_snr_db, capacity_bps=cap, sync_ok=True) for r in records
-        ]
+        table.sinr_db[:] = scenario.tdd_snr_db
+        table.capacity_bps[:] = capacity_tdd(cap_cfg, scenario.tdd_snr_db)
+        table.sync_ok[:] = 1.0
+        return table
 
     noise_dbm = noise_floor_dbm(scenario.bandwidth_hz, scenario.noise_figure_db)
+    # attenuators reproduce the measured (clamped) map: interference that sat
+    # below the sensitivity floor has nothing to reproduce, so none is injected
+    i_dbm = np.where(table.interference_raw_dbm >= scenario.floor_dbm, table.interference_dbm, -math.inf)
 
     if scenario.engine == "analytic":
-        out = []
-        for r in records:
-            sinr = sinr_analytic(r.desired_dbm, _reproducible_interference_dbm(scenario, r), noise_dbm)
-            sinr = apply_sinr_ceiling(sinr, scenario.sinr_ceiling_db)
-            out.append(replace(r, sinr_db=sinr, capacity_bps=capacity_fd(cap_cfg, sinr), sync_ok=True))
-        return out
-
-    params = OfdmParams(
-        sampling_rate_hz=15.36e6, bandwidth_hz=scenario.bandwidth_hz, carrier_freq_hz=scenario.carrier_freq_hz
-    )
-    # white receiver noise: PSD fixed by the configured floor, integrated
-    # over the full sampled band
-    noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
-
-    out = []
-    for r in records:
-        i_dbm = _reproducible_interference_dbm(scenario, r)
-        seeds = [_derived_seed(seed, r.index, k) for k in (1, 2, 3)]
-        _, rx = measure_link(params, FRAME_SYMBOLS, -r.desired_dbm, -i_dbm, noise_wave_dbm, seeds)
-        if not rx.sync_success:
-            out.append(replace(r, capacity_bps=0.0, sync_ok=False))
-            continue
-        sinr = apply_sinr_ceiling(sinr_from_evm(rx.evm_rms), scenario.sinr_ceiling_db)
-        cap = capacity_fd(cap_cfg, sinr)
-        out.append(replace(r, evm_rms=rx.evm_rms, sinr_db=sinr, capacity_bps=cap, sync_ok=True))
-    return out
+        sinr = sinr_analytic(table.desired_dbm, i_dbm, noise_dbm)
+        table.sync_ok[:] = 1.0
+    else:
+        params = OfdmParams(
+            sampling_rate_hz=15.36e6, bandwidth_hz=scenario.bandwidth_hz, carrier_freq_hz=scenario.carrier_freq_hz
+        )
+        # white receiver noise: PSD fixed by the configured floor, integrated
+        # over the full sampled band
+        noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
+        for i, (des, intf) in enumerate(zip(table.desired_dbm.tolist(), i_dbm.tolist())):
+            seeds = [_derived_seed(seed, i, k) for k in (1, 2, 3)]
+            _, rx = measure_link(params, FRAME_SYMBOLS, -des, -intf, noise_wave_dbm, seeds)
+            table.sync_ok[i] = rx.sync_success
+            if rx.sync_success:
+                table.evm_rms[i] = rx.evm_rms
+        sinr = sinr_from_evm(table.evm_rms)  # NaN where sync failed
+    table.sinr_db[:] = apply_sinr_ceiling(sinr, scenario.sinr_ceiling_db)
+    # a point without sync carries nothing
+    table.capacity_bps[:] = np.where(table.sync_ok == 1.0, capacity_fd(cap_cfg, table.sinr_db), 0.0)
+    return table
 
 
-def mirror_symmetry(records: list[SweepRecord]) -> list[SweepRecord]:
+def mirror_symmetry(table: SweepTable) -> SweepTable:
     """Extend a y >= 0 sweep with its mirror image on negative y.
 
-    Every y > 0 record is duplicated with the sign of y flipped (antenna
+    Every y > 0 row is duplicated with the sign of y flipped (antenna
     patterns are symmetric); y = 0 rows are not duplicated.  Mirrored rows
-    are appended after the originals with fresh indices.
+    are appended after the originals, so their indices follow on.
     """
-    out = list(records)
-    next_index = len(records)
-    for r in records:
-        if r.position.y > 0.0:
-            p = r.position
-            out.append(replace(r, index=next_index, position=Position(p.x, -p.y, p.z)))
-            next_index += 1
+    n = len(table)
+    out = table.take(np.concatenate((np.arange(n), np.flatnonzero(table.y > 0.0))))
+    out.y[n:] = -out.y[n:]
     return out
 
 
-def _fmt(value, spec: str) -> str:
-    return "" if value is None else format(value, spec)
+# (table column, format) in SWEEP_CSV_COLUMNS order; sync_ok's 1.0/0.0 print as 1/0
+_CSV_FORMATS = [("x", ".3f"), ("y", ".3f"), ("h", ".3f"), ("interference_dbm", ".4f"), ("desired_dbm", ".4f")]
+_CSV_FORMATS += [("evm_rms", ".6e"), ("sinr_db", ".4f"), ("capacity_bps", ".3f"), ("sync_ok", ".0f")]
+_CSV_BLOCK_ROWS = 1 << 16  # rows joined per write, so a large file's text never sits whole in memory
 
 
-def write_sweep_csv(path, records: list[SweepRecord]) -> None:
-    """Write records in the canonical sweep CSV schema (stable byte output)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SWEEP_CSV_COLUMNS)
-        for r in records:
-            w.writerow(
-                [
-                    _fmt(r.position.x, ".3f"),
-                    _fmt(r.position.y, ".3f"),
-                    _fmt(r.position.z, ".3f"),
-                    _fmt(r.interference_dbm, ".4f"),
-                    _fmt(r.desired_dbm, ".4f"),
-                    _fmt(r.evm_rms, ".6e"),
-                    _fmt(r.sinr_db, ".4f"),
-                    _fmt(r.capacity_bps, ".3f"),
-                    "" if r.sync_ok is None else ("1" if r.sync_ok else "0"),
-                ]
-            )
+def _format_column(values: np.ndarray, spec: str) -> list[str]:
+    """Each value formatted with spec, NaN as an empty field.
+
+    Each distinct value is formatted once; distinct means distinct bits, so
+    -0.0 keeps its sign.
+    """
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = ["" if v != v else format(v, spec) for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-def read_sweep_csv(path) -> list[SweepRecord]:
-    """Read a sweep CSV back into records.
+def write_csv_columns(path, header: list[str], columns) -> None:
+    """Write a CSV from (values, format spec) columns under a header; NaN writes as an empty field."""
+    cols = [_format_column(values, spec) for values, spec in columns]
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = (c[start : start + _CSV_BLOCK_ROWS] for c in cols)
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
-    The CSV stores reported (clamped) interference only, so the raw field
-    is set equal to it on read.
+
+def write_sweep_csv(path, table: SweepTable) -> None:
+    """Write a sweep table in the canonical sweep CSV schema (stable byte output)."""
+    write_csv_columns(path, SWEEP_CSV_COLUMNS, [(getattr(table, name), spec) for name, spec in _CSV_FORMATS])
+
+
+def read_sweep_csv(path) -> SweepTable:
+    """Read a sweep CSV back into a table.
+
+    The CSV stores reported (clamped) interference only, so the raw
+    interference column reads as unknown (NaN); empty fields read as NaN.
     """
     path = Path(path)
-    records = []
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SWEEP_CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for i, row in enumerate(reader):
-            if len(row) != len(SWEEP_CSV_COLUMNS):
-                raise ValueError(f"{path}: row {i + 2} has {len(row)} fields")
-            x, y, h, p_int, p_des, evm, sinr, cap, sync = row
-            records.append(
-                SweepRecord(
-                    index=i,
-                    position=Position(float(x), float(y), float(h)),
-                    interference_dbm=float(p_int),
-                    interference_raw_dbm=float(p_int),
-                    desired_dbm=float(p_des),
-                    evm_rms=float(evm) if evm else None,
-                    sinr_db=float(sinr) if sinr else None,
-                    capacity_bps=float(cap) if cap else None,
-                    sync_ok=None if sync == "" else sync == "1",
-                )
-            )
-    if not records:
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",") if lines else None
+    if header != SWEEP_CSV_COLUMNS:
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    rows = lines[1:]
+    if not rows:
         raise ValueError(f"{path}: no records")
-    return records
+    width = len(SWEEP_CSV_COLUMNS)
+    for i, row in enumerate(rows):
+        if row.count(",") != width - 1:
+            raise ValueError(f"{path}: row {i + 2} has {len(row.split(','))} fields")
+    cells = ",".join(rows).split(",")
+    cols = (cells[j::width] for j in range(width))
+    cols = [np.array([v or "nan" for v in c] if "" in c else c, dtype=float) for c in cols]  # "" reads as NaN
+    return SweepTable(*cols[:4], _unknown(len(rows)), *cols[4:])

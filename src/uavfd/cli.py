@@ -8,7 +8,6 @@ byte-identical files.
 """
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -25,7 +24,7 @@ from .campaign import (
     mirror_symmetry,
     read_sweep_csv,
     run_capacity_sweep,
-    run_power_sweep,
+    write_csv_columns,
     write_sweep_csv,
 )
 from .duplexing import build_channel_plan, format_plan_table, validate_plan
@@ -181,36 +180,32 @@ def _cmd_sweep(args) -> int:
     except OSError as e:
         raise DataError(f"cannot create output directory {out_dir}: {e}") from e
 
-    power = run_power_sweep(scenario, run.grid, seed)
-    capacity = run_capacity_sweep(scenario, run.grid, seed)
+    try:
+        capacity = run_capacity_sweep(scenario, run.grid, seed)
+    except ValueError as e:
+        raise DataError(f"cannot sweep this grid: {e}") from e
+    power = capacity.power_map()
 
-    for tag, records in (
-        ("power", power),
-        ("capacity", capacity),
-        ("power_mirrored", mirror_symmetry(power)),
-        ("capacity_mirrored", mirror_symmetry(capacity)),
-    ):
+    for tag in ("power", "capacity", "power_mirrored", "capacity_mirrored"):
+        table = capacity if tag.startswith("capacity") else power
+        rows = mirror_symmetry(table) if tag.endswith("_mirrored") else table
         dest = out_dir / f"{run.scenario_name}_{tag}.csv"
-        write_sweep_csv(dest, records)
-        print(f"wrote {dest} ({len(records)} rows)")
+        write_sweep_csv(dest, rows)
+        print(f"wrote {dest} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_cdf(args) -> int:
     try:
-        records = read_sweep_csv(args.sweep_csv)
+        values = read_sweep_csv(args.sweep_csv).interference_dbm
     except (OSError, ValueError) as e:
         raise DataError(str(e)) from e
-    values = [r.interference_dbm for r in records]
     table = cdf(values)
     out = Path(args.out) if args.out else Path(args.sweep_csv).with_suffix("").with_name(
         Path(args.sweep_csv).stem + "_cdf.csv"
     )
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["value_dbm", "cum_fraction"])
-        for value, frac in table:
-            w.writerow([format(value, ".4f"), format(frac, ".6f")])
+    steps, fracs = np.array(table).T
+    write_csv_columns(out, ["value_dbm", "cum_fraction"], [(steps, ".4f"), (fracs, ".6f")])
     coverage = cdf_at(values, args.threshold)
     print(f"wrote {out} ({len(table)} steps)")
     print(f"coverage={coverage:.6f} threshold_dbm={args.threshold:.2f} n={len(values)}")
@@ -274,7 +269,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_place(args) -> int:
     try:
-        records = read_sweep_csv(args.sweep_csv)
+        table = read_sweep_csv(args.sweep_csv)
     except (OSError, ValueError) as e:
         raise DataError(str(e)) from e
     kind = {k.value: k for k in ObjectiveKind}.get(args.objective)
@@ -282,19 +277,15 @@ def _cmd_place(args) -> int:
         raise UsageError(f"unknown objective {args.objective!r}")
     objective = PlacementObjective(kind)
 
-    if kind is ObjectiveKind.MAX_VICTIM_CAPACITY and all(r.capacity_bps is None for r in records):
+    if kind is ObjectiveKind.MAX_VICTIM_CAPACITY and np.isnan(table.capacity_bps).all():
         raise DataError(f"{args.sweep_csv}: no capacity column values; pass a capacity sweep CSV")
 
-    best = best_record(records, objective)
-    region = feasible_region(records, args.threshold)
+    best = best_record(table, objective)
+    region = feasible_region(table, args.threshold)
     out = Path(args.out) if args.out else Path(args.sweep_csv).with_name(
         Path(args.sweep_csv).stem + "_region.csv"
     )
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x_m", "y_m", "h_m"])
-        for p in region:
-            w.writerow([format(p.x, ".3f"), format(p.y, ".3f"), format(p.z, ".3f")])
+    write_csv_columns(out, ["x_m", "y_m", "h_m"], [(region.x, ".3f"), (region.y, ".3f"), (region.h, ".3f")])
     print(f"wrote {out} ({len(region)} feasible positions, threshold {args.threshold:.2f} dBm)")
     unit = "dBm" if kind is ObjectiveKind.MIN_INTERFERENCE else "bps"
     print(
@@ -312,6 +303,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Levels beyond this push 10 ** (dB / 10) past float64 in the noise and attenuator math.
+MAX_LEVEL_DB = 1000.0
+
+
 def _float_or_inf(text: str) -> float:
     try:
         value = float(text)
@@ -319,6 +314,8 @@ def _float_or_inf(text: str) -> float:
         value = math.nan
     if math.isnan(value) or value == -math.inf:  # either would push NaN samples through the receiver
         raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
+    if value != math.inf and abs(value) > MAX_LEVEL_DB:
+        raise argparse.ArgumentTypeError(f"expected a level within ±{MAX_LEVEL_DB:g} dB or 'inf', got {text!r}")
     return value
 
 

@@ -9,7 +9,13 @@ overhead but sees no co-channel interference.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .geometry import float_or_array
+
 DEFAULT_SINR_CEILING_DB = 40.0  # cap applied when EVM underflows to 0
+
+Values = float | np.ndarray  # a float gives a float back, an array an array
 
 
 @dataclass(frozen=True)
@@ -27,41 +33,39 @@ class CapacityConfig:
             raise ValueError(f"guard_overhead must be in [0, 1), got {self.guard_overhead}")
 
 
-def sinr_from_evm(evm_rms: float) -> float:
+def sinr_from_evm(evm_rms: Values) -> Values:
     """SINR in dB implied by an RMS error vector magnitude.
 
     evm_rms = 0 (numerically perfect reception) maps to +inf; cap it with
-    apply_sinr_ceiling before feeding capacity formulas.
+    apply_sinr_ceiling before feeding capacity formulas.  NaN (no EVM) stays NaN.
     """
-    if evm_rms < 0.0:
+    evm = np.asarray(evm_rms, dtype=float)
+    if np.any(evm < 0.0):
         raise ValueError(f"evm_rms must be >= 0, got {evm_rms}")
-    if evm_rms == 0.0:
-        return math.inf
-    return -20.0 * math.log10(evm_rms)
+    with np.errstate(divide="ignore"):
+        return float_or_array(-20.0 * np.log10(evm))
 
 
-def apply_sinr_ceiling(sinr_db: float, ceiling_db: float = DEFAULT_SINR_CEILING_DB) -> float:
+def apply_sinr_ceiling(sinr_db: Values, ceiling_db: float = DEFAULT_SINR_CEILING_DB) -> Values:
     """Clamp an SINR (possibly +inf) to a finite ceiling."""
-    return min(sinr_db, ceiling_db)
+    return float_or_array(np.minimum(sinr_db, ceiling_db))
 
 
-def sinr_analytic(signal_dbm: float, interference_dbm: float, noise_dbm: float) -> float:
+def sinr_analytic(signal_dbm: Values, interference_dbm: Values, noise_dbm: float) -> Values:
     """10*log10(S / (I + N)) with all inputs in dBm.
 
-    interference_dbm or noise_dbm may be -inf to mark an absent term.
+    interference_dbm or noise_dbm may be -inf to mark an absent term; with
+    both absent the SINR is +inf.
     """
-    i_lin = 10.0 ** (interference_dbm / 10.0)
-    n_lin = 10.0 ** (noise_dbm / 10.0)
-    if i_lin + n_lin == 0.0:
-        return math.inf
-    return signal_dbm - 10.0 * math.log10(i_lin + n_lin)
+    i_lin = 10.0 ** (np.asarray(interference_dbm, dtype=float) / 10.0)
+    with np.errstate(divide="ignore"):
+        return float_or_array(signal_dbm - 10.0 * np.log10(i_lin + 10.0 ** (noise_dbm / 10.0)))
 
 
-def capacity_fd(cfg: CapacityConfig, sinr_db: float) -> float:
+def capacity_fd(cfg: CapacityConfig, sinr_db: Values) -> Values:
     """Full-duplex Shannon capacity in bit/s; the link owns the band continuously."""
-    if sinr_db == -math.inf:
-        return 0.0
-    return cfg.bandwidth_hz * math.log2(1.0 + 10.0 ** (sinr_db / 10.0))
+    snr_lin = 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0)
+    return float_or_array(cfg.bandwidth_hz * np.log2(1.0 + snr_lin))
 
 
 def capacity_tdd(cfg: CapacityConfig, snr_db: float) -> float:
@@ -71,40 +75,38 @@ def capacity_tdd(cfg: CapacityConfig, snr_db: float) -> float:
     holds the channel for tdd_duty of the time and loses guard_overhead of
     that to switching guard intervals.
     """
-    if snr_db == -math.inf:
-        return 0.0
     factor = cfg.tdd_duty * (1.0 - cfg.guard_overhead)
     return factor * cfg.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
 
 
-def cdf(values: list[float]) -> list[tuple[float, float]]:
+def cdf(values) -> list[tuple[float, float]]:
     """Right-continuous empirical CDF as (value, cumulative fraction) steps.
 
     Ties collapse into a single step; the last fraction is exactly 1.0.
     """
-    if not values:
-        raise ValueError("cdf of an empty sample is undefined")
-    n = len(values)
-    out = []
-    seen = 0
-    for v in sorted(values):
-        seen += 1
-        if out and out[-1][0] == v:
-            out[-1] = (v, seen / n)
-        else:
-            out.append((v, seen / n))
-    return out
+    v = _sample(values, "cdf")
+    steps, counts = np.unique(v, return_counts=True)
+    return list(zip(steps.tolist(), (np.cumsum(counts) / v.size).tolist()))
 
 
-def cdf_at(values: list[float], x: float) -> float:
+def _sample(values, what: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError(f"{what} of an empty sample is undefined")
+    return v
+
+
+def _share(values, below: float, inclusive: bool, what: str) -> float:
+    """Fraction of values below a level (or at it, when inclusive)."""
+    v = _sample(values, what)
+    return np.count_nonzero(v <= below if inclusive else v < below) / v.size
+
+
+def cdf_at(values, x: float) -> float:
     """Empirical CDF evaluated at x: fraction of values <= x."""
-    if not values:
-        raise ValueError("cdf of an empty sample is undefined")
-    return sum(1 for v in values if v <= x) / len(values)
+    return _share(values, x, True, "cdf")
 
 
-def coverage_fraction(values: list[float], threshold: float) -> float:
+def coverage_fraction(values, threshold: float) -> float:
     """Fraction of values strictly below threshold, in [0, 1]."""
-    if not values:
-        raise ValueError("coverage of an empty sample is undefined")
-    return sum(1 for v in values if v < threshold) / len(values)
+    return _share(values, threshold, False, "coverage")

@@ -1,7 +1,7 @@
 """Interferer position control: feasible regions and best placements.
 
-The measurement grid doubles as the search space; with under a thousand
-candidate points an exhaustive scan is the obvious optimizer and gives a
+The measurement grid doubles as the search space; an exhaustive scan of
+the sweep table's columns is the obvious optimizer and gives a
 deterministic answer (ties break toward the lowest row-major index).  Two
 objectives capture the two readings of "well controlled": park the
 interferer where it hurts least, or where the victim link performs best.
@@ -10,7 +10,9 @@ interferer where it hurts least, or where the victim link performs best.
 from dataclasses import dataclass
 from enum import Enum
 
-from .campaign import GridSpec, ScenarioConfig, SweepRecord, run_capacity_sweep, run_power_sweep
+import numpy as np
+
+from .campaign import GridSpec, ScenarioConfig, SweepTable, run_capacity_sweep, run_power_sweep
 from .geometry import Position
 
 
@@ -31,33 +33,27 @@ class PlacementResult:
     index: int
 
 
-def feasible_region(records: list[SweepRecord], threshold_dbm: float) -> list[Position]:
-    """Grid positions whose reported interference is strictly below threshold."""
-    if not records:
+def feasible_region(table: SweepTable, threshold_dbm: float) -> SweepTable:
+    """The rows whose reported interference is strictly below threshold, in grid order."""
+    if not len(table):
         raise ValueError("feasible_region of an empty sweep is undefined")
-    return [r.position for r in records if r.interference_dbm < threshold_dbm]
+    return table.take(table.interference_dbm < threshold_dbm)
 
 
-def best_record(records: list[SweepRecord], objective: PlacementObjective) -> PlacementResult:
-    """Scan sweep records for the objective optimum; first index wins ties."""
-    if not records:
+def best_record(table: SweepTable, objective: PlacementObjective) -> PlacementResult:
+    """The row at the objective optimum; the first row wins ties."""
+    if not len(table):
         raise ValueError("best_record of an empty sweep is undefined")
-    ordered = sorted(records, key=lambda r: r.index)
     if objective.kind is ObjectiveKind.MIN_INTERFERENCE:
-        best = ordered[0]
-        for r in ordered[1:]:
-            if r.interference_dbm < best.interference_dbm:
-                best = r
-        return PlacementResult(best.position, best.interference_dbm, best.index)
-
-    best = None
-    for r in ordered:
-        cap = r.capacity_bps
-        if cap is None:
-            raise ValueError(f"record {r.index} has no capacity; run a capacity sweep first")
-        if best is None or cap > best.capacity_bps:
-            best = r
-    return PlacementResult(best.position, best.capacity_bps, best.index)
+        values = table.interference_dbm
+        i = int(np.argmin(values))
+    else:
+        values = table.capacity_bps
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise ValueError(f"record {missing[0]} has no capacity; run a capacity sweep first")
+        i = int(np.argmax(values))
+    return PlacementResult(table[i].position, values[i].item(), i)
 
 
 def best_position(

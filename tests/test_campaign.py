@@ -10,10 +10,12 @@ from uavfd.campaign import (
     GS_POSITION,
     MAX_GRID_POINTS,
     RX2_POSITION,
+    SWEEP_CSV_COLUMNS,
     GridSpec,
     ScenarioConfig,
     SweepRecord,
-    grid_points,
+    SweepTable,
+    grid_positions,
     measure_link,
     mirror_symmetry,
     read_sweep_csv,
@@ -21,6 +23,7 @@ from uavfd.campaign import (
     run_power_sweep,
     write_sweep_csv,
 )
+from uavfd.geometry import Position
 from uavfd.metrics import capacity_fd, coverage_fraction, sinr_analytic
 from uavfd.phy import OfdmParams
 from uavfd.propagation import noise_floor_dbm
@@ -32,16 +35,16 @@ def test_fixed_geometry():
 
 
 def test_grid_point_count(grid):
-    pts = grid_points(grid, 0.1)
-    assert len(pts) == 31 * 16 == 496
-    assert pts[0].as_tuple() == (10.0, 0.0, 0.1)
-    assert pts[1].as_tuple() == (10.0, 2.0, 0.1)  # row-major, y fastest
-    assert pts[-1].as_tuple() == (70.0, 30.0, 0.1)
+    pts = grid_positions(grid, 0.1)
+    assert pts.shape == (31 * 16, 3) == (496, 3)
+    assert pts[0].tolist() == [10.0, 0.0, 0.1]
+    assert pts[1].tolist() == [10.0, 2.0, 0.1]  # row-major, y fastest
+    assert pts[-1].tolist() == [70.0, 30.0, 0.1]
 
 
 def test_single_point_grid():
     g = GridSpec(x_start_m=10, x_end_m=10, y_start_m=4, y_end_m=4)
-    assert len(grid_points(g, 1.8)) == 1
+    assert grid_positions(g, 1.8).tolist() == [[10.0, 4.0, 1.8]]
 
 
 def test_grid_validation():
@@ -254,7 +257,7 @@ def test_waveform_engine_deterministic(scenarios):
     sc = replace(scenarios["directional-0.1"], engine="waveform")
     a = run_capacity_sweep(sc, g, seed=9)
     b = run_capacity_sweep(sc, g, seed=9)
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_mirror_symmetry(power_dir01):
@@ -280,7 +283,9 @@ def test_mirror_symmetry(power_dir01):
 
 def test_mirror_single_y0_record():
     r = SweepRecord(0, RX2_POSITION.__class__(5.0, 0.0, 0.1), -90.0, -90.0, -80.0)
-    assert mirror_symmetry([r]) == [r]
+    table = SweepTable(*np.full((10, 1), np.nan))
+    table[0] = r
+    assert list(mirror_symmetry(table)) == [r]
 
 
 def test_csv_round_trip(tmp_path, capacity_dir01_analytic):
@@ -294,6 +299,7 @@ def test_csv_round_trip(tmp_path, capacity_dir01_analytic):
         assert b.sinr_db == pytest.approx(a.sinr_db, abs=1e-4)
         assert b.capacity_bps == pytest.approx(a.capacity_bps, abs=1e-3)
         assert b.sync_ok == a.sync_ok
+        assert b.interference_raw_dbm is None  # the CSV keeps the reported level only
     # write(read(write(x))) is byte-stable
     path2 = tmp_path / "sweep2.csv"
     write_sweep_csv(path2, back)
@@ -336,3 +342,111 @@ def test_power_sweep_is_mirror_symmetric_in_y(scenarios, preset, x_start, nx, ny
     assert np.array_equal(ys, -ys[:, ::-1])
     raw = np.array([r.interference_raw_dbm for r in records]).reshape(nx, 2 * ny + 1)
     np.testing.assert_allclose(raw, raw[:, ::-1], rtol=0.0, atol=1e-12)
+
+
+def _table(columns) -> SweepTable:
+    return SweepTable(*(np.array(c, dtype=float) for c in columns))
+
+
+@st.composite
+def sweep_tables(draw):
+    """Tables shaped like the sweeps write them: power only, analytic/TDD, or waveform with failed syncs."""
+    n = draw(st.integers(1, 40))
+    col = lambda lo, hi: draw(st.lists(st.floats(lo, hi) | st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    x, y, h = col(-1e3, 1e3), col(-1e3, 1e3), col(0.0, 100.0)
+    p_int, p_des = col(-300.0, 60.0), col(-300.0, 60.0)
+    unknown = [math.nan] * n
+    kind = draw(st.sampled_from(["power", "analytic", "waveform"]))
+    if kind == "power":
+        return _table([x, y, h, p_int, unknown, p_des, unknown, unknown, unknown, unknown])
+    sinr, cap = col(-100.0, 100.0), col(0.0, 1e9)
+    if kind == "analytic":
+        return _table([x, y, h, p_int, unknown, p_des, unknown, sinr, cap, [1.0] * n])
+    sync = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    evm = [e if ok else math.nan for e, ok in zip(col(0.0, 10.0), sync)]
+    sinr = [v if ok else math.nan for v, ok in zip(sinr, sync)]
+    cap = [c if ok else 0.0 for c, ok in zip(cap, sync)]
+    return _table([x, y, h, p_int, unknown, p_des, evm, sinr, cap, sync])
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=sweep_tables())
+def test_csv_write_read_write_is_byte_stable(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_sweep_csv(path, table)
+    first = path.read_bytes()
+    back = read_sweep_csv(path)
+    assert len(back) == len(table)
+    assert np.isnan(back.interference_raw_dbm).all()
+    for a, b in zip(table, back):
+        assert (a.evm_rms is None, a.sinr_db is None, a.sync_ok) == (b.evm_rms is None, b.sinr_db is None, b.sync_ok)
+    write_sweep_csv(path, back)
+    assert path.read_bytes() == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=sweep_tables())
+def test_csv_writer_matches_a_per_row_oracle(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_sweep_csv(path, table)
+    specs = (".3f", ".3f", ".3f", ".4f", ".4f", ".6e", ".4f", ".3f")
+    lines = [",".join(SWEEP_CSV_COLUMNS)]
+    for r in table:
+        values = (*r.position.as_tuple(), r.interference_dbm, r.desired_dbm, r.evm_rms, r.sinr_db, r.capacity_bps)
+        fields = ["" if v is None else format(v, spec) for v, spec in zip(values, specs)]
+        lines.append(",".join([*fields, "" if r.sync_ok is None else str(int(r.sync_ok))]))
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_waveform_csv_round_trip_keeps_empty_fields(tmp_path, scenarios):
+    g = GridSpec(x_start_m=54, x_end_m=58, y_start_m=0, y_end_m=2)
+    table = run_capacity_sweep(replace(scenarios["directional-0.1"], engine="waveform"), g, seed=0)
+    assert 0 < np.count_nonzero(table.sync_ok == 1.0) < len(table)
+    path = tmp_path / "wave.csv"
+    write_sweep_csv(path, table)
+    back = read_sweep_csv(path)
+    for a, b in zip(table, back):
+        assert b.sync_ok == a.sync_ok
+        assert (b.evm_rms is None) == (b.sinr_db is None) == (not a.sync_ok)
+    write_sweep_csv(tmp_path / "again.csv", back)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_read_back_rows_do_not_claim_a_floor(tmp_path, power_dir01):
+    path = tmp_path / "power.csv"
+    write_sweep_csv(path, power_dir01)
+    row = read_sweep_csv(path)[0]
+    assert row.interference_raw_dbm is None
+    with pytest.raises(ValueError, match="raw interference unknown"):
+        row.at_floor
+
+
+def test_table_rows_read_and_write_back(capacity_dir01_analytic):
+    table = capacity_dir01_analytic.take(np.arange(len(capacity_dir01_analytic)))
+    row = table[5]
+    assert row.index == 5 and table[-1].index == len(table) - 1
+    assert row == list(table)[5]
+    table[5] = replace(row, capacity_bps=0.0, sync_ok=False)
+    assert table[5] == replace(row, capacity_bps=0.0, sync_ok=False)
+    assert table.capacity_bps[5] == 0.0 and table.sync_ok[5] == 0.0
+    assert [r.position for r in table[4:7]] == [table[i].position for i in (4, 5, 6)]
+    with pytest.raises(IndexError):
+        table[len(table)]
+    # the fixture is untouched: take() copies
+    assert capacity_dir01_analytic[5] == row
+
+
+def test_power_map_drops_the_capacity_stage(capacity_dir01_analytic, power_dir01):
+    assert list(capacity_dir01_analytic.power_map()) == list(power_dir01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=sweep_tables())
+def test_mirror_appends_flipped_positive_y_rows(table):
+    mirrored = mirror_symmetry(table)
+    positive = [r for r in table if r.position.y > 0.0]
+    assert len(mirrored) == len(table) + len(positive)
+    assert list(mirrored[: len(table)]) == list(table)
+    for r, m in zip(positive, mirrored[len(table):]):
+        assert m.position == Position(r.position.x, -r.position.y, r.position.z)
+        assert replace(m, index=r.index, position=r.position) == r

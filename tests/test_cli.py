@@ -178,6 +178,23 @@ def test_modem_rejects_nan_and_minus_inf_levels(capsys, flag, value):
     assert err == f"error: argument {flag}: expected a number or 'inf', got {value!r}\n"
 
 
+@pytest.mark.parametrize("flag", ["--snr", "--sir"])
+@pytest.mark.parametrize("value", ["-4000", "4000", "-1000.001", "1e308"])
+def test_modem_rejects_levels_beyond_1000_db(capsys, flag, value):
+    code, out, err = run(["modem", f"{flag}={value}", "--frames", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument {flag}: expected a level within ±1000 dB or 'inf', got {value!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--snr", "--sir"])
+@pytest.mark.parametrize("value", ["-1000", "1000"])
+def test_modem_runs_at_the_level_bounds(capsys, flag, value):
+    code, out, _ = run(["modem", f"{flag}={value}", "--frames", "1"], capsys)
+    assert code == 0
+    assert out.startswith("modem frames=1 ")
+
+
 @pytest.mark.parametrize("value", ["inf", "+inf", "Infinity"])
 def test_modem_accepts_infinite_levels(capsys, value):
     code, out, _ = run(["modem", f"--sir={value}", "--frames", "1"], capsys)
@@ -409,6 +426,32 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
     assert digests == SWEEP_CSV_SHA256
 
 
+# SHA-256 of the CSVs `uavfd sweep --engine waveform` writes at seed 0 on the
+# 20-point grid x 54..62 × y 0..6 (step 2), which holds the point on top of
+# the victim receiver.  Recorded before the sweep results became columns;
+# failed-sync rows have empty EVM and SINR fields.
+WAVEFORM_CSV_SHA256 = {
+    "dipole-0.1_capacity.csv": "0404d3474c8679a8be26309f6da154ba23c78b885d1b4267bb169d28e9272eee",
+    "dipole-0.1_capacity_mirrored.csv": "25bcc120ab0db31534a56b3df7e7ab659a37bbf1f50e889f77495ec9f53e47b0",
+    "dipole-0.1_power.csv": "e37f8ac2d54b552b9b4c335275ddc9ad03e19376ffbb0d289694e1f9652a4129",
+    "dipole-0.1_power_mirrored.csv": "a93376ad4fd9b06132bef78733d8daa099987440d448a1239a100a18c14046b3",
+    "directional-0.1_capacity.csv": "a337018062c4179accc2699167c0e2088df804886ec20dc486e634c240e7afc5",
+    "directional-0.1_capacity_mirrored.csv": "44ae18da166f6cde0b6fc0952320d3e30dc53803a3b22536c9cc38af5547afe7",
+    "directional-0.1_power.csv": "0f62b9869a8aa0fcdc6b95c0de6644e231284d74c6cf4913dc185034a090b0ab",
+    "directional-0.1_power_mirrored.csv": "d4e2bab84c28e9c398ea67d3d91421ad1e98287cbc9fd0ab21f30d0273ff8657",
+}
+
+
+def test_waveform_sweep_csv_bytes_are_pinned(tmp_path, capsys):
+    for preset in ("directional-0.1", "dipole-0.1"):
+        cfg = tmp_path / f"{preset}.cfg"
+        cfg.write_text(f"scenario = {preset}\ngrid.x_start = 54\ngrid.x_end = 62\ngrid.y_end = 6\nseed = 0\n")
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(cfg), "--engine", "waveform", "--out", str(out)], capsys)[0] == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").glob("*.csv")}
+    assert digests == WAVEFORM_CSV_SHA256
+
+
 def test_sweep_waveform_engine_small_grid(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -428,6 +471,17 @@ def test_sweep_waveform_engine_small_grid(tmp_path, capsys):
     assert all(r["sync_ok"] in ("0", "1") for r in rows)
     synced = [r for r in rows if r["sync_ok"] == "1"]
     assert all(r["evm"] != "" and float(r["capacity_bps"]) > 0 for r in synced)
+
+
+@pytest.mark.parametrize("extra", ["", "scenario.pointing_sigma_deg = 2\n"])
+def test_sweep_grid_on_the_ground_station_is_data_error(tmp_path, capsys, extra):
+    cfg = tmp_path / "gs.cfg"
+    cfg.write_text(f"scenario = directional-0.1\nout = {tmp_path}\ngrid.x_start = 0\ngrid.x_end = 4\n{extra}")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "grid point (0, 0, 0.1) m is the ground station" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_unknown_key_has_line_number(tmp_path, capsys):

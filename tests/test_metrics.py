@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavfd.metrics import (
     CapacityConfig,
@@ -119,3 +121,32 @@ def test_coverage_on_sweep_is_cdf_consistent(power_dir01):
     fracs = [f for _, f in table]
     assert all(b >= a for a, b in zip(fracs, fracs[1:]))
     assert fracs[-1] == 1.0
+
+
+@given(st.lists(st.floats(-200.0, 50.0) | st.sampled_from([-95.0, -90.0, 0.0, -0.0]), min_size=1, max_size=300))
+def test_cdf_fractions_rise_to_exactly_one(values):
+    table = cdf(values)
+    xs = [v for v, _ in table]
+    fracs = [f for _, f in table]
+    assert xs == sorted(set(values))
+    assert all(b > a for a, b in zip(fracs, fracs[1:]))
+    assert fracs[-1] == 1.0
+    # each step is the share of values at or below it, as cdf_at counts them
+    assert all(f == cdf_at(values, x) == sum(v <= x for v in values) / len(values) for x, f in table)
+
+
+@given(st.lists(st.floats(-150.0, 0.0), min_size=1, max_size=50), st.floats(-130.0, -60.0))
+def test_sinr_and_capacity_arrays_match_per_element_calls(interference, noise):
+    """One formula serves scalars and arrays; numpy's vector and scalar pow/log may differ in the last bit."""
+    arr = sinr_analytic(-86.0, np.array(interference), noise)
+    scalars = [sinr_analytic(-86.0, i, noise) for i in interference]
+    assert all(isinstance(v, float) for v in scalars)
+    np.testing.assert_allclose(arr, scalars, rtol=0.0, atol=1e-12)
+    capped = apply_sinr_ceiling(arr, 30.0)
+    assert capped.tolist() == [apply_sinr_ceiling(v, 30.0) for v in arr.tolist()]
+    caps = capacity_fd(CFG, capped)
+    np.testing.assert_allclose(caps, [capacity_fd(CFG, v) for v in capped.tolist()], rtol=1e-12, atol=1e-6)
+    for i, c in zip(interference, caps.tolist()):
+        # an independent math-module oracle of the two formulas
+        sinr = -86.0 - 10.0 * math.log10(10.0 ** (i / 10.0) + 10.0 ** (noise / 10.0))
+        assert c == pytest.approx(10e6 * math.log2(1.0 + 10.0 ** (min(sinr, 30.0) / 10.0)), rel=1e-9)

@@ -1,8 +1,7 @@
-import random
-
+import numpy as np
 import pytest
 
-from uavfd.campaign import GridSpec
+from uavfd.campaign import GridSpec, SweepTable
 from uavfd.metrics import capacity_fd, coverage_fraction
 from uavfd.placement import (
     ObjectiveKind,
@@ -15,15 +14,17 @@ from uavfd.propagation import noise_floor_dbm
 
 MIN_I = PlacementObjective(ObjectiveKind.MIN_INTERFERENCE)
 MAX_C = PlacementObjective(ObjectiveKind.MAX_VICTIM_CAPACITY)
+EMPTY = SweepTable(*np.empty((10, 0)))
 
 
 def test_feasible_region_trivial_bounds(power_dir01):
     lo = min(r.interference_dbm for r in power_dir01)
     hi = max(r.interference_dbm for r in power_dir01)
-    assert feasible_region(power_dir01, lo - 1.0) == []
-    assert len(feasible_region(power_dir01, hi + 1.0)) == len(power_dir01)
+    assert len(feasible_region(power_dir01, lo - 1.0)) == 0
+    everything = feasible_region(power_dir01, hi + 1.0)
+    assert list(everything) == list(power_dir01)
     with pytest.raises(ValueError):
-        feasible_region([], -95.0)
+        feasible_region(EMPTY, -95.0)
 
 
 def test_feasible_region_matches_coverage(power_dir01):
@@ -56,10 +57,13 @@ def test_best_max_capacity_reaches_ceiling(capacity_dir01_analytic, scenarios):
 
 
 def test_best_record_order_invariant(capacity_dir01_analytic):
-    shuffled = list(capacity_dir01_analytic)
-    random.Random(4).shuffle(shuffled)
-    assert best_record(shuffled, MAX_C) == best_record(capacity_dir01_analytic, MAX_C)
-    assert best_record(shuffled, MIN_I) == best_record(capacity_dir01_analytic, MIN_I)
+    """Row order moves the winning row among ties, never the optimum; the first tied row wins."""
+    shuffled = capacity_dir01_analytic.take(np.random.default_rng(4).permutation(len(capacity_dir01_analytic)))
+    for objective, column in ((MAX_C, shuffled.capacity_bps), (MIN_I, shuffled.interference_dbm)):
+        got = best_record(shuffled, objective)
+        assert got.value == best_record(capacity_dir01_analytic, objective).value
+        assert got.index == np.flatnonzero(column == got.value)[0]
+        assert got.position == shuffled[got.index].position
 
 
 def test_best_max_capacity_is_argmax(capacity_dir01_analytic):
@@ -86,4 +90,4 @@ def test_best_record_requires_capacity_for_max(power_dir01):
     with pytest.raises(ValueError):
         best_record(power_dir01, MAX_C)
     with pytest.raises(ValueError):
-        best_record([], MIN_I)
+        best_record(EMPTY, MIN_I)
