@@ -400,8 +400,10 @@ def mirror_symmetry(table: SweepTable) -> SweepTable:
 
 
 # (table column, format) in SWEEP_CSV_COLUMNS order; sync_ok's 1.0/0.0 print as 1/0
-_CSV_FORMATS = [("x", ".3f"), ("y", ".3f"), ("h", ".3f"), ("interference_dbm", ".4f"), ("desired_dbm", ".4f")]
-_CSV_FORMATS += [("evm_rms", ".6e"), ("sinr_db", ".4f"), ("capacity_bps", ".3f"), ("sync_ok", ".0f")]
+_CSV_FORMATS = [
+    ("x", ".3f"), ("y", ".3f"), ("h", ".3f"), ("interference_dbm", ".4f"), ("desired_dbm", ".4f"),
+    ("evm_rms", ".6e"), ("sinr_db", ".4f"), ("capacity_bps", ".3f"), ("sync_ok", ".0f"),
+]
 _CSV_BLOCK_ROWS = 1 << 16  # rows joined per write, so a large file's text never sits whole in memory
 
 
@@ -450,6 +452,9 @@ def read_sweep_csv(path) -> SweepTable:
         if row.count(",") != width - 1:
             raise ValueError(f"{path}: row {i + 2} has {len(row.split(','))} fields")
     cells = ",".join(rows).split(",")
-    cols = (cells[j::width] for j in range(width))
-    cols = [np.array([v or "nan" for v in c] if "" in c else c, dtype=float) for c in cols]  # "" reads as NaN
+    cols = [cells[j::width] for j in range(width)]
+    for c in cols[5:]:  # empty EVM, SINR, capacity and sync fields read as NaN; the others are required
+        if "" in c:
+            c[:] = [v or "nan" for v in c]
+    cols = [np.array(c, dtype=float) for c in cols]
     return SweepTable(*cols[:4], _unknown(len(rows)), *cols[4:])

@@ -277,10 +277,10 @@ def _cmd_place(args) -> int:
         raise UsageError(f"unknown objective {args.objective!r}")
     objective = PlacementObjective(kind)
 
-    if kind is ObjectiveKind.MAX_VICTIM_CAPACITY and np.isnan(table.capacity_bps).all():
-        raise DataError(f"{args.sweep_csv}: no capacity column values; pass a capacity sweep CSV")
-
-    best = best_record(table, objective)
+    try:
+        best = best_record(table, objective)
+    except ValueError as e:  # max-capacity over a row without capacity, e.g. a power sweep CSV
+        raise DataError(f"{args.sweep_csv}: {e}") from e
     region = feasible_region(table, args.threshold)
     out = Path(args.out) if args.out else Path(args.sweep_csv).with_name(
         Path(args.sweep_csv).stem + "_region.csv"

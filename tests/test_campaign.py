@@ -317,6 +317,18 @@ def test_csv_read_rejects_bad_files(tmp_path):
         read_sweep_csv(p2)
 
 
+@pytest.mark.parametrize("column", range(5))
+def test_csv_read_rejects_an_empty_position_or_power(tmp_path, capacity_dir01_analytic, column):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, capacity_dir01_analytic)
+    header, first, *rest = path.read_text().splitlines()
+    fields = first.split(",")
+    fields[column] = ""
+    path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    with pytest.raises(ValueError, match="could not convert"):
+        read_sweep_csv(path)
+
+
 def test_dipole_scenario_is_interference_limited(power_dipole):
     # 27.5 dBm transmit through near-omni antennas: nothing sits at the floor
     assert all(not r.at_floor for r in power_dipole)

@@ -265,6 +265,18 @@ def test_place_max_capacity_needs_capacity_column(tmp_path, capsys):
     assert "capacity" in err
 
 
+def test_place_max_capacity_rejects_rows_without_capacity(tmp_path, capsys):
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    path = tmp_path / "directional-0.1_capacity.csv"
+    header, first, second, *rest = path.read_text().splitlines()
+    second = ",".join(second.split(",")[:7] + ["", ""])
+    path.write_text("\n".join([header, first, second, *rest]) + "\n")
+    code, out, err = run(["place", str(path), "--objective", "max-capacity"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "record 1 has no capacity" in err
+
+
 def test_place_unknown_objective(tmp_path, capsys):
     run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
     code, _, err = run(
