@@ -25,6 +25,9 @@ from .fec import TAIL_BITS, coded_length, fec_encode
 BITS_PER_SYMBOL = 4  # 16QAM
 _QAM_SCALE = 1.0 / math.sqrt(10.0)
 _QAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
+# 16QAM point of each 4-bit pattern (I0, I1, Q0, Q1) read as a binary number
+_GRAY_LEVELS = np.array([1.0, 3.0, -1.0, -3.0])  # (1-2*u0)*(1+2*u1) for u0u1 = 00, 01, 10, 11
+_QAM_POINTS = (_GRAY_LEVELS.repeat(4) + 1j * np.tile(_GRAY_LEVELS, 4)) * _QAM_SCALE
 
 _PILOT_SEED = 0x0FD1
 _PREAMBLE_SEED = 0x0FD2
@@ -185,10 +188,7 @@ def map_16qam(bits) -> np.ndarray:
     b = np.asarray(bits, dtype=np.int64).ravel()
     if b.size % BITS_PER_SYMBOL != 0:
         raise ValueError(f"bit count must be a multiple of {BITS_PER_SYMBOL}")
-    g = b.reshape(-1, BITS_PER_SYMBOL)
-    i = (1 - 2 * g[:, 0]) * (1 + 2 * g[:, 1])
-    q = (1 - 2 * g[:, 2]) * (1 + 2 * g[:, 3])
-    return (i + 1j * q) * _QAM_SCALE
+    return _QAM_POINTS[b.reshape(-1, BITS_PER_SYMBOL) @ [8, 4, 2, 1]]
 
 
 def _axis_bits_hard(levels_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,14 +299,15 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     t = np.fft.ifft(spectrum, axis=1)
 
     cp = params.cp_length
-    body = np.empty(n_symbols * params.symbol_samples, dtype=np.complex128)
+    samples = np.empty(params.frame_samples(n_symbols), dtype=np.complex128)
+    body = samples[params.preamble_samples :]
     rows = body.reshape(n_symbols, params.symbol_samples)
     rows[:, :cp] = t[:, -cp:]
     rows[:, cp:] = t
 
     body_power = np.mean(np.abs(body) ** 2)
     boost = 10.0 ** (params.preamble_boost_db / 10.0)
-    samples = np.concatenate([pre * math.sqrt(boost * body_power), body])
+    np.multiply(pre, math.sqrt(boost * body_power), out=samples[: params.preamble_samples])
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
 
     return FrameBuffer(
@@ -350,18 +351,20 @@ def impair(
         i = _as_samples(interferer)
         if interferer_delay is None:
             interferer_delay = int(rng.integers(0, i.size))
+        # np.roll and np.tile return copies, so scaling in place never touches the caller's array
         i = np.roll(i, interferer_delay)
         if i.size != d.size:
             reps = int(np.ceil(d.size / i.size))
             i = np.tile(i, reps)[: d.size]
-        out += i * 10.0 ** (-atten_interferer_db / 20.0)
+        i *= 10.0 ** (-atten_interferer_db / 20.0)
+        out += i
 
     if noise_power_dbm != -math.inf:
-        scale = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
         # one draw of both quadratures: the same stream as drawing I then Q
         noise = rng.standard_normal((2, d.size))
-        out.real += noise[0] * scale
-        out.imag += noise[1] * scale
+        noise *= math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
+        out.real += noise[0]
+        out.imag += noise[1]
 
     return out
 

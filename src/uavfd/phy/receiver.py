@@ -9,9 +9,10 @@ when co-channel interference swamps the preamble.  A matched-filter pass
 against the known preamble then refines the coarse peak to the sample.
 
 Frequency-offset de-rotation is applied only where it is used: to the
-matched-filter window in `synchronize` and to the FFT windows (CP removed)
-in `receive_frame`.  Both use absolute sample indices, so each corrected
-sample equals what de-rotating the whole buffer would give.
+matched-filter window in `synchronize` (one row) and to the FFT windows
+(CP removed, one row per symbol) in `receive_frame`.  The phasor of such
+a window is a row phasor times a column phasor of absolute sample indices,
+so each corrected sample equals what de-rotating the whole buffer would give.
 
 The channel in this rig is a static complex scalar (attenuators and a
 combiner), so pilot least-squares estimates are averaged across the
@@ -52,9 +53,16 @@ class RxResult:
     frame_start: int | None = None
 
 
-def _derotate(x: np.ndarray, cfo_subcarriers: float, index: np.ndarray, fft_size: int) -> np.ndarray:
-    """Undo a frequency offset on samples x taken at absolute buffer positions index."""
-    return x * np.exp(-2j * math.pi * cfo_subcarriers * index / fft_size)
+def _derotate(rows: np.ndarray, cfo_subcarriers: float, row_starts: np.ndarray, fft_size: int) -> np.ndarray:
+    """Undo a frequency offset on an (R, C) window whose row r starts at buffer position row_starts[r].
+
+    Sample (r, c) needs exp(w * (row_starts[r] + c)), w = -2*pi*i * cfo / fft_size: the row phasor
+    exp(w * row_starts[r]) times the column phasor exp(w * c), so R + C exponentials rather than R * C.
+    """
+    w = -2j * math.pi * cfo_subcarriers / fft_size
+    out = rows * np.exp(w * np.arange(rows.shape[1]))
+    out *= np.exp(w * np.asarray(row_starts))[:, None]
+    return out
 
 
 def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) -> SyncResult:
@@ -71,12 +79,12 @@ def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) 
     if x.size < 2 * half + 1:
         return SyncResult(success=False, metric=0.0)
 
-    c = np.conj(x[:-half]) * x[half:]
-    cs = np.concatenate([[0.0 + 0.0j], np.cumsum(c)])
+    cs = np.zeros(x.size - half + 1, dtype=np.complex128)  # zero-led: cs[k] sums the first k terms
+    np.cumsum(np.conj(x[:-half]) * x[half:], out=cs[1:])
     p = cs[half:] - cs[:-half]  # p[d] = sum over m<half of conj(x[d+m]) x[d+m+half]
 
-    e = np.abs(x) ** 2
-    es = np.concatenate([[0.0], np.cumsum(e)])
+    es = np.zeros(x.size + 1)
+    np.cumsum(np.abs(x) ** 2, out=es[1:])
     r = es[2 * half :] - es[half:-half]  # trailing-half energy
 
     metric = np.abs(p) / np.maximum(r, _ENERGY_EPS)
@@ -94,7 +102,7 @@ def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) 
     hi = min(x.size - pre.size, peak + window)
     if hi < lo:
         return SyncResult(success=False, metric=peak_metric)
-    seg = _derotate(x[lo : hi + pre.size], cfo_coarse, np.arange(lo, hi + pre.size), params.fft_size)
+    seg = _derotate(x[None, lo : hi + pre.size], cfo_coarse, [lo], params.fft_size)[0]
     xc = np.abs(np.correlate(seg, pre, mode="valid"))
     start = lo + int(np.argmax(xc))
 
@@ -139,12 +147,11 @@ def receive_frame(
     if needed > x.size or n_symbols == 0:
         return RxResult(sync_success=False, sync_metric=sync.metric)
 
-    # (n_symbols, fft_size) views of the FFT windows and of their positions
-    shape = (n_symbols, params.symbol_samples)
+    # (n_symbols, fft_size) view of the FFT windows, each starting past its CP
     cp = params.cp_length
-    windows = x[sync.frame_start : needed].reshape(shape)[:, cp:]
-    index = np.arange(sync.frame_start, needed).reshape(shape)[:, cp:]
-    spectrum = np.fft.fft(_derotate(windows, sync.cfo_subcarriers, index, params.fft_size), axis=1)
+    windows = x[sync.frame_start : needed].reshape(n_symbols, params.symbol_samples)[:, cp:]
+    starts = sync.frame_start + cp + params.symbol_samples * np.arange(n_symbols)
+    spectrum = np.fft.fft(_derotate(windows, sync.cfo_subcarriers, starts, params.fft_size), axis=1)
 
     maps = _subcarrier_maps(params)
     pilot_pos, data_pos = maps.pilot_pos, maps.data_pos

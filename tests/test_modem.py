@@ -4,11 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavfd.phy import (
     OfdmParams,
     build_frame,
     demap_16qam,
+    fec_encode,
     impair,
     map_16qam,
     noise_power_for_subcarrier_snr,
@@ -19,7 +22,8 @@ from uavfd.phy import (
     synchronize,
     write_iq,
 )
-from uavfd.phy.modem import _pilot_matrix, _preamble, _subcarrier_maps
+from uavfd.phy.modem import _QAM_SCALE, _pilot_matrix, _preamble, _subcarrier_maps
+from uavfd.phy.receiver import _derotate
 
 P = OfdmParams()
 
@@ -61,6 +65,22 @@ def test_qam_soft_signs_match_hard():
 def test_qam_requires_bit_multiple():
     with pytest.raises(ValueError):
         map_16qam([0, 1, 0])
+
+
+def _reference_map_16qam(bits):
+    """The per-axis Gray formula: bit pair (u0, u1) maps to level (1-2*u0)*(1+2*u1)."""
+    g = np.asarray(bits, dtype=np.int64).reshape(-1, 4)
+    i = (1 - 2 * g[:, 0]) * (1 + 2 * g[:, 1])
+    q = (1 - 2 * g[:, 2]) * (1 + 2 * g[:, 3])
+    return (i + 1j * q) * _QAM_SCALE
+
+
+def test_qam_table_matches_formula_bit_for_bit():
+    patterns = np.array(list(itertools.product([0, 1], repeat=4))).ravel()
+    assert np.array_equal(map_16qam(patterns), _reference_map_16qam(patterns))
+    coded = fec_encode(np.random.default_rng(24).integers(0, 2, P.payload_bits(28)))
+    assert P.payload_bits(28) == 29_394
+    assert np.array_equal(map_16qam(coded), _reference_map_16qam(coded))
 
 
 # ----------------------------------------------------------------- framing
@@ -219,6 +239,22 @@ def test_impair_draw_order_is_delay_then_i_then_q():
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "interferer_kind, delay", [("body", 0), ("body", 1234), ("frame", 0), ("frame", 4321), ("body", None)]
+)
+def test_impair_leaves_inputs_untouched(interferer_kind, delay):
+    # the in-place scaling may only touch impair's own rolled copy of the interferer,
+    # whether it is shorter than the desired frame (tiled) or as long (not tiled)
+    fb = rand_frame(P, 2, seed=25)
+    fi = rand_frame(P, 2, seed=26, pilot_stream=1)
+    interferer = fi.body_stream() if interferer_kind == "body" else fi.samples
+    desired_before, interferer_before = fb.samples.copy(), interferer.copy()
+    out = impair(fb, interferer, 3.0, 10.0, -30.0, seed=5, interferer_delay=delay)
+    assert np.array_equal(fb.samples, desired_before)
+    assert np.array_equal(interferer, interferer_before)
+    assert not np.shares_memory(out, fb.samples) and not np.shares_memory(out, interferer)
+
+
 def test_impair_deterministic():
     fb = rand_frame(P, 1, seed=8)
     fi = rand_frame(P, 1, seed=9, pilot_stream=1)
@@ -296,6 +332,65 @@ def test_sync_cfo_estimate_clean():
     s = synchronize(fb.samples, P)
     assert s.success
     assert abs(s.cfo_hz) < 1e-6
+
+
+def _reference_derotate(x, cfo_subcarriers, index, fft_size):
+    """One complex exponential per sample, at its absolute buffer position."""
+    return x * np.exp(-2j * math.pi * cfo_subcarriers * index / fft_size)
+
+
+@pytest.mark.parametrize("n_rows", [1, 28])
+def test_derotate_matches_full_index_formula(n_rows):
+    rng = np.random.default_rng(28 + n_rows)
+    cp, stride = P.cp_length, P.symbol_samples
+    for _ in range(20):
+        cfo = rng.uniform(-0.5, 0.5)
+        start = int(rng.integers(0, 40_001))
+        x = rng.standard_normal(start + n_rows * stride) + 1j * rng.standard_normal(start + n_rows * stride)
+        # the FFT windows of receive_frame: rows of one OFDM symbol each, CP skipped
+        rows = x[start:].reshape(n_rows, stride)[:, cp:]
+        index = np.arange(start, x.size).reshape(n_rows, stride)[:, cp:]
+        got = _derotate(rows, cfo, start + cp + stride * np.arange(n_rows), P.fft_size)
+        np.testing.assert_allclose(got, _reference_derotate(rows, cfo, index, P.fft_size), rtol=1e-12, atol=0)
+        # the matched-filter window of synchronize: one row of consecutive samples
+        seg = x[None, start:]
+        want = _reference_derotate(seg, cfo, np.arange(start, x.size), P.fft_size)
+        np.testing.assert_allclose(_derotate(seg, cfo, [start], P.fft_size), want, rtol=1e-12, atol=0)
+
+
+def _with_cfo(x, cfo_subcarriers):
+    return x * np.exp(2j * math.pi * cfo_subcarriers * np.arange(x.size) / P.fft_size)
+
+
+@pytest.mark.parametrize("cfo", [0.03, -0.2])
+def test_receive_corrects_injected_cfo(cfo):
+    fb = rand_frame(P, 4, seed=27)
+    buf = np.concatenate([np.zeros(300, complex), fb.samples, np.zeros(200, complex)])
+    mixed = impair(buf, None, 0.0, math.inf, noise_power_for_subcarrier_snr(P, 20.0, 4), seed=3)
+    clean = receive_frame(mixed, P, fb.data_symbols, decode=False)
+    shifted = _with_cfo(mixed, cfo)
+    s = synchronize(shifted, P)
+    assert s.success
+    assert abs(s.cfo_hz / P.subcarrier_spacing_hz - cfo) < 0.01
+    rx = receive_frame(shifted, P, fb.data_symbols, decode=False)
+    assert rx.sync_success
+    assert abs(20 * math.log10(rx.evm_rms / clean.evm_rms)) < 0.5
+
+
+_OFFSET_FRAME = rand_frame(P, 2, seed=29)
+_OFFSET_INTERFERER = rand_frame(P, 2, seed=30, pilot_stream=1).body_stream()
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(0, 5_000), seed=st.integers(0, 3))
+def test_prepended_offset_shifts_sync_only(k, seed):
+    nd = noise_power_for_subcarrier_snr(P, 15.0, 2)
+    mixed = _with_cfo(impair(_OFFSET_FRAME, _OFFSET_INTERFERER, 0.0, 15.0, nd, seed=seed), 0.1)
+    base = receive_frame(mixed, P, _OFFSET_FRAME.data_symbols, decode=False)
+    moved = receive_frame(np.r_[np.zeros(k, complex), mixed], P, _OFFSET_FRAME.data_symbols, decode=False)
+    assert base.sync_success and moved.sync_success
+    assert moved.frame_start == base.frame_start + k
+    assert moved.evm_rms == pytest.approx(base.evm_rms, rel=1e-12)
 
 
 # ----------------------------------------------------------------- receive
