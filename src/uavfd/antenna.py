@@ -9,8 +9,8 @@ Two patterns cover the hardware used in the measurement scenarios:
   cosine rolloff in elevation, floored at 1e-3 linear.
 
 The quadratic model reproduces the -3 dB point at HPBW/2 exactly.  Pointing
-error emulates manual beam alignment; draws are deterministic given the
-seed, so sweeps that need independent draws must derive per-point seeds.
+error emulates manual beam alignment: `perturb_pointing` tilts a batch of
+boresights by angles the caller draws.
 """
 
 import math
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Direction, float_or_array
+from .geometry import float_or_array
 
 DIPOLE_ELEVATION_FLOOR = 1e-3  # linear floor on cos(elevation)
 
@@ -60,18 +60,6 @@ def dipole(gain_dbi: float = 2.5) -> AntennaSpec:
     return AntennaSpec(AntennaKind.DIPOLE, gain_dbi)
 
 
-@dataclass(frozen=True)
-class PointingError:
-    """Zero-mean angular pointing noise with RMS sigma_deg, seeded."""
-
-    sigma_deg: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_deg < 0.0:
-            raise ValueError("sigma_deg must be >= 0")
-
-
 def gain_db(
     spec: AntennaSpec, offset_deg: float | np.ndarray, elevation_deg: float | np.ndarray = 0.0
 ) -> float | np.ndarray:
@@ -89,26 +77,21 @@ def gain_db(
     return float_or_array(spec.boresight_gain_dbi + 20.0 * np.log10(c))
 
 
-def perturb_pointing(boresight: Direction, err: PointingError) -> Direction:
-    """Rotate a boresight by a random angular deviation.
+def perturb_pointing(boresights: np.ndarray, theta_deg: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Tilt each unit boresight, a row of an (N, 3) array, by theta_deg toward azimuth phi.
 
-    The deviation angle is drawn from N(0, sigma) and applied about a
-    uniformly random axis perpendicular to the boresight, so the RMS angle
-    between input and output equals sigma_deg.  sigma 0 returns the input
-    unchanged; the same (boresight, err) always returns the same output.
+    The tilt axis is perpendicular to the boresight, phi radians round from
+    b x z (from b x x when |b_z| >= 0.9).  With theta drawn from N(0, sigma)
+    and phi uniform on [0, 2*pi) the RMS angle between input and output
+    rows equals sigma.  Returns the (N, 3) unit vectors.
     """
-    if err.sigma_deg == 0.0:
-        return boresight
-    rng = np.random.default_rng(err.seed)
-    theta = math.radians(rng.normal(0.0, err.sigma_deg))
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-
-    b = np.array(boresight.as_tuple())
-    # build an orthonormal pair perpendicular to b
-    helper = np.array([0.0, 0.0, 1.0]) if abs(b[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    b = np.asarray(boresights, dtype=float)
+    helper = np.where(np.abs(b[:, 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     u = np.cross(b, helper)
-    u /= np.linalg.norm(u)
+    # u's norm is a per-row dot product and out's a sum of squares: the two
+    # round differently, and the pinned 2-degree sweep digest holds both
+    u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
     v = np.cross(b, u)
-
-    out = b * math.cos(theta) + (u * math.cos(phi) + v * math.sin(phi)) * math.sin(theta)
-    return Direction.from_vector(out[0], out[1], out[2])
+    theta, phi = np.radians(theta_deg)[:, None], np.asarray(phi, dtype=float)[:, None]
+    out = b * np.cos(theta) + (u * np.cos(phi) + v * np.sin(phi)) * np.sin(theta)
+    return out / np.sqrt((out * out).sum(axis=1, keepdims=True))

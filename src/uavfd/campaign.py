@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .antenna import AntennaSpec, PointingError, dipole, horn, perturb_pointing
-from .geometry import Direction, Position, distance
+from .antenna import AntennaSpec, dipole, horn, perturb_pointing
+from .geometry import Position, distance
 from .metrics import (
     DEFAULT_SINR_CEILING_DB,
     CapacityConfig,
@@ -274,16 +274,18 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
     desired = max(scenario.p_g_dbm + link_gain_db(tx2, rx2, f), scenario.floor_dbm)
 
     pos = grid_positions(grid, scenario.interferer_height_m)
-    on_gs = (pos == GS_POSITION.as_tuple()).all(axis=1)
+    gs = np.array(GS_POSITION.as_tuple())
+    on_gs = (pos == gs).all(axis=1)
     if on_gs.any():
         x, y, h = pos[on_gs.argmax()]
         raise ValueError(f"grid point ({x:g}, {y:g}, {h:g}) m is the ground station the interferer aims at")
-    aims = np.broadcast_to(GS_POSITION.as_tuple(), pos.shape)
+    aims = np.broadcast_to(gs, pos.shape)
     if scenario.pointing_sigma_deg > 0.0:
-        # each point's aim is off by a pointing error seeded from its index
-        errs = (PointingError(scenario.pointing_sigma_deg, _derived_seed(seed, i, 0)) for i in range(len(pos)))
-        bores = (Direction.between(p, GS_POSITION) for p in pos)
-        aims = pos + np.array([perturb_pointing(b, e).as_tuple() for b, e in zip(bores, errs)])
+        # each point's aim is off by a deviation, then an azimuth, drawn from its own index-seeded generator
+        rngs = (np.random.default_rng(_derived_seed(seed, i, 0)) for i in range(len(pos)))
+        sigma = scenario.pointing_sigma_deg
+        theta, phi = np.array([(r.normal(0.0, sigma), r.uniform(0.0, 2.0 * math.pi)) for r in rngs]).T
+        aims = pos + perturb_pointing((gs - pos) / distance(pos, gs)[:, None], theta, phi)
     d = distance(pos, RX2_POSITION)
     apart = d > 0.0
     # an interferer standing on the receiver couples boresight to boresight
@@ -404,7 +406,7 @@ _CSV_FORMATS = [
     ("x", ".3f"), ("y", ".3f"), ("h", ".3f"), ("interference_dbm", ".4f"), ("desired_dbm", ".4f"),
     ("evm_rms", ".6e"), ("sinr_db", ".4f"), ("capacity_bps", ".3f"), ("sync_ok", ".0f"),
 ]
-_CSV_BLOCK_ROWS = 1 << 16  # rows joined per write, so a large file's text never sits whole in memory
+_CSV_BLOCK_ROWS = 1 << 16  # rows formatted and written at a time, so a large file's text never sits whole in memory
 
 
 def _format_column(values: np.ndarray, spec: str) -> list[str]:
@@ -420,11 +422,10 @@ def _format_column(values: np.ndarray, spec: str) -> list[str]:
 
 def write_csv_columns(path, header: list[str], columns) -> None:
     """Write a CSV from (values, format spec) columns under a header; NaN writes as an empty field."""
-    cols = [_format_column(values, spec) for values, spec in columns]
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-            block = (c[start : start + _CSV_BLOCK_ROWS] for c in cols)
+        for start in range(0, len(columns[0][0]), _CSV_BLOCK_ROWS):
+            block = (_format_column(values[start : start + _CSV_BLOCK_ROWS], spec) for values, spec in columns)
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 

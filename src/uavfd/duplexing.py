@@ -61,21 +61,15 @@ class ChannelPlan:
         return self.assignments[uav - 1]
 
 
-def build_channel_plan(
-    n_uavs: int,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
-    n_channels: int | None = None,
-    base_freq_hz: float = DEFAULT_BASE_FREQ_HZ,
-    spacing_hz: float = DEFAULT_CHANNEL_SPACING_HZ,
-) -> ChannelPlan:
+def build_channel_plan(n_uavs: int, min_separation: int = DEFAULT_MIN_SEPARATION) -> ChannelPlan:
     """Construct a reuse plan for n_uavs UAVs.
 
     Pair slot j (1-based) owns channels (j, j+m); within pair (a, b) the
     roles are swapped, a=(up j, down j+m), b=(up j+m, down j).  The stride
     m = max(#slots, min_separation) guarantees the per-UAV index separation
     while keeping every channel reused by at most one uplink and one
-    downlink.  When n_channels pins the table size, raises ValueError if
-    the separation cannot be met within it.
+    downlink.  Channel i is centred DEFAULT_CHANNEL_SPACING_HZ * (i - 1)
+    above DEFAULT_BASE_FREQ_HZ.
     """
     if n_uavs < 1:
         raise ValueError(f"n_uavs must be >= 1, got {n_uavs}")
@@ -83,18 +77,10 @@ def build_channel_plan(
         raise ValueError(f"min_separation must be >= 1, got {min_separation}")
 
     n_slots = (n_uavs + 1) // 2
-    needed = n_slots + max(n_slots, min_separation)
-    if n_channels is None:
-        n_channels = needed
-    elif n_channels < needed:
-        raise ValueError(
-            f"cannot satisfy channel separation {min_separation} for {n_uavs} UAVs "
-            f"with {n_channels} channels; need at least {needed}"
-        )
-    stride = n_channels - n_slots
-
+    stride = max(n_slots, min_separation)
     channels = tuple(
-        Channel(index=i, center_hz=base_freq_hz + (i - 1) * spacing_hz) for i in range(1, n_channels + 1)
+        Channel(index=i, center_hz=DEFAULT_BASE_FREQ_HZ + (i - 1) * DEFAULT_CHANNEL_SPACING_HZ)
+        for i in range(1, n_slots + stride + 1)
     )
 
     assignments = []

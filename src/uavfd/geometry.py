@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_UNIT_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Position:
@@ -34,37 +32,6 @@ class Position:
 
 
 Points = Position | np.ndarray  # one Position, or positions along the last axis of an array
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A unit 3-vector (Euclidean norm 1 within 1e-12)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = float(_norm(np.array(self.as_tuple())))
-        if abs(n - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"Direction must be unit length, norm={n!r}")
-
-    @classmethod
-    def from_vector(cls, x: float, y: float, z: float) -> "Direction":
-        """Normalize an arbitrary non-zero vector into a Direction."""
-        v = np.array((x, y, z), dtype=float)
-        n = _norm(v)
-        if n == 0.0 or not np.isfinite(n):
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(*(v / n).tolist())
-
-    @classmethod
-    def between(cls, origin: Position, target: Position) -> "Direction":
-        """Unit vector from `origin` toward `target`."""
-        return cls.from_vector(*(_xyz(target) - _xyz(origin)))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
 
 
 def _xyz(p: Points) -> np.ndarray:

@@ -14,6 +14,8 @@ import numpy as np
 from .geometry import float_or_array
 
 DEFAULT_SINR_CEILING_DB = 40.0  # cap applied when EVM underflows to 0
+TDD_DUTY = 0.5  # share of time a TDD link holds the channel
+TDD_GUARD_OVERHEAD = 0.2  # share of that time lost to switching guard intervals
 
 Values = float | np.ndarray  # a float gives a float back, an array an array
 
@@ -21,16 +23,10 @@ Values = float | np.ndarray  # a float gives a float back, an array an array
 @dataclass(frozen=True)
 class CapacityConfig:
     bandwidth_hz: float = 10e6
-    tdd_duty: float = 0.5
-    guard_overhead: float = 0.2
 
     def __post_init__(self):
         if self.bandwidth_hz <= 0.0:
             raise ValueError("bandwidth_hz must be > 0")
-        if not (0.0 < self.tdd_duty < 1.0 or self.tdd_duty == 1.0):
-            raise ValueError(f"tdd_duty must be in (0, 1], got {self.tdd_duty}")
-        if not (0.0 <= self.guard_overhead < 1.0):
-            raise ValueError(f"guard_overhead must be in [0, 1), got {self.guard_overhead}")
 
 
 def sinr_from_evm(evm_rms: Values) -> Values:
@@ -72,10 +68,10 @@ def capacity_tdd(cfg: CapacityConfig, snr_db: float) -> float:
     """TDD baseline capacity in bit/s.
 
     Orthogonal time slots mean no co-channel interference, but the link only
-    holds the channel for tdd_duty of the time and loses guard_overhead of
-    that to switching guard intervals.
+    holds the channel for TDD_DUTY of the time and loses TDD_GUARD_OVERHEAD
+    of that to switching guard intervals.
     """
-    factor = cfg.tdd_duty * (1.0 - cfg.guard_overhead)
+    factor = TDD_DUTY * (1.0 - TDD_GUARD_OVERHEAD)
     return factor * cfg.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
 
 

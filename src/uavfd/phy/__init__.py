@@ -12,7 +12,6 @@ from .modem import (
     noise_power_for_subcarrier_snr,
     pilot_values,
     preamble,
-    read_iq,
     write_iq,
 )
 from .receiver import RxResult, SYNC_THRESHOLD, SyncResult, receive_frame, synchronize
@@ -35,7 +34,6 @@ __all__ = [
     "payload_length",
     "pilot_values",
     "preamble",
-    "read_iq",
     "receive_frame",
     "synchronize",
     "write_iq",

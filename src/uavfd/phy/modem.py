@@ -39,7 +39,6 @@ class OfdmParams:
     cp_length: int = 128
     active_subcarriers: int = 600
     pilot_spacing: int = 8
-    modulation: str = "16QAM"
     sampling_rate_hz: float = 15.36e6
     bandwidth_hz: float = 10e6
     carrier_freq_hz: float = 5.7e9
@@ -56,8 +55,6 @@ class OfdmParams:
             raise ValueError("pilot_spacing must be >= 2 and divide active_subcarriers")
         if self.fft_size % 2 != 0:
             raise ValueError("fft_size must be even")
-        if self.modulation != "16QAM":
-            raise ValueError(f"unsupported modulation {self.modulation!r}")
 
     @property
     def symbol_samples(self) -> int:
@@ -188,6 +185,8 @@ def map_16qam(bits) -> np.ndarray:
     b = np.asarray(bits, dtype=np.int64).ravel()
     if b.size % BITS_PER_SYMBOL != 0:
         raise ValueError(f"bit count must be a multiple of {BITS_PER_SYMBOL}")
+    if b.size and (b.min() < 0 or b.max() > 1):
+        raise ValueError("bits must be 0 or 1")
     return _QAM_POINTS[b.reshape(-1, BITS_PER_SYMBOL) @ [8, 4, 2, 1]]
 
 
@@ -390,11 +389,3 @@ def write_iq(path, samples) -> None:
     flat[0::2] = s.real
     flat[1::2] = s.imag
     flat.tofile(path)
-
-
-def read_iq(path) -> np.ndarray:
-    """Read an IQ dump written by write_iq back into complex samples."""
-    flat = np.fromfile(path, dtype="<f4")
-    if flat.size % 2 != 0:
-        raise ValueError("IQ file has an odd number of floats")
-    return flat[0::2].astype(np.float64) + 1j * flat[1::2].astype(np.float64)

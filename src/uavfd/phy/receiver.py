@@ -50,7 +50,6 @@ class RxResult:
     evm_rms: float | None = None
     payload: np.ndarray | None = None
     freq_offset_hz: float | None = None
-    frame_start: int | None = None
 
 
 def _derotate(rows: np.ndarray, cfo_subcarriers: float, row_starts: np.ndarray, fft_size: int) -> np.ndarray:
@@ -189,5 +188,4 @@ def receive_frame(
         evm_rms=evm,
         payload=payload,
         freq_offset_hz=sync.cfo_hz,
-        frame_start=sync.frame_start,
     )

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .campaign import GridSpec, ScenarioConfig, SweepTable, run_capacity_sweep, run_power_sweep
+from .campaign import SweepTable
 from .geometry import Position
 
 
@@ -54,14 +54,3 @@ def best_record(table: SweepTable, objective: PlacementObjective) -> PlacementRe
             raise ValueError(f"record {missing[0]} has no capacity; run a capacity sweep first")
         i = int(np.argmax(values))
     return PlacementResult(table[i].position, values[i].item(), i)
-
-
-def best_position(
-    scenario: ScenarioConfig, grid: GridSpec, objective: PlacementObjective, seed: int = 0
-) -> PlacementResult:
-    """Exhaustively evaluate the grid for a scenario and pick the optimum."""
-    if objective.kind is ObjectiveKind.MIN_INTERFERENCE:
-        records = run_power_sweep(scenario, grid, seed)
-    else:
-        records = run_capacity_sweep(scenario, grid, seed)
-    return best_record(records, objective)

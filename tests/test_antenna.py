@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavfd.antenna import AntennaKind, AntennaSpec, PointingError, dipole, gain_db, horn, perturb_pointing
-from uavfd.geometry import Direction
+from uavfd.antenna import AntennaKind, AntennaSpec, dipole, gain_db, horn, perturb_pointing
 
 
 def test_horn_anchors():
@@ -54,33 +53,68 @@ def test_spec_validation():
         AntennaSpec(AntennaKind.HORN, 21.0, front_to_back_db=-1.0)
     with pytest.raises(ValueError):
         AntennaSpec(AntennaKind.HORN, math.nan)
-    with pytest.raises(ValueError):
-        PointingError(-0.1)
+
+
+def _reference_perturb(b, theta_deg: float, phi: float) -> np.ndarray:
+    """One boresight at a time, as the scalar rotation did it."""
+    b = np.asarray(b, dtype=float)
+    helper = np.array([0.0, 0.0, 1.0]) if abs(b[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    u = np.cross(b, helper)
+    u /= np.linalg.norm(u)
+    v = np.cross(b, u)
+    theta = math.radians(theta_deg)
+    out = b * math.cos(theta) + (u * math.cos(phi) + v * math.sin(phi)) * math.sin(theta)
+    return out / np.linalg.norm(out)
+
+
+def _unit_rows(rng, n: int) -> np.ndarray:
+    v = rng.standard_normal((n, 3))
+    v[: n // 4, 2] *= 30.0  # a quarter near vertical: |b_z| >= 0.9 takes the other helper axis
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.degrees(np.arccos(np.clip((a * b).sum(axis=1), -1.0, 1.0)))
+
+
+def test_perturb_matches_scalar_reference():
+    rng = np.random.default_rng(7)
+    b = _unit_rows(rng, 2_000)
+    theta, phi = rng.normal(0.0, 5.0, len(b)), rng.uniform(0.0, 2.0 * math.pi, len(b))
+    want = np.array([_reference_perturb(*args) for args in zip(b, theta, phi)])
+    assert (np.abs(b[:, 2]) >= 0.9).sum() > 400
+    assert np.abs(perturb_pointing(b, theta, phi) - want).max() <= 1e-15
 
 
 def test_perturb_zero_sigma_is_identity():
-    b = Direction.from_vector(1, 2, 3)
-    assert perturb_pointing(b, PointingError(0.0, seed=1)) is b
+    b = _unit_rows(np.random.default_rng(8), 100)
+    out = perturb_pointing(b, np.zeros(len(b)), np.linspace(0.0, 6.0, len(b)))
+    assert np.abs(out - b).max() <= 1e-15
 
 
 def test_perturb_deterministic():
-    b = Direction(1.0, 0.0, 0.0)
-    e = PointingError(2.0, seed=42)
-    assert perturb_pointing(b, e) == perturb_pointing(b, e)
-
-
-def angle_between(a: Direction, b: Direction) -> float:
-    c = a.x * b.x + a.y * b.y + a.z * b.z
-    return math.degrees(math.acos(min(1.0, max(-1.0, c))))
+    """A pure function of its rows: the same inputs give the same bits, whatever the batch."""
+    rng = np.random.default_rng(9)
+    b = _unit_rows(rng, 50)
+    theta, phi = rng.normal(0.0, 2.0, 50), rng.uniform(0.0, 2.0 * math.pi, 50)
+    whole = perturb_pointing(b, theta, phi)
+    assert np.array_equal(whole, perturb_pointing(b, theta, phi))
+    assert np.array_equal(whole[10:13], perturb_pointing(b[10:13], theta[10:13], phi[10:13]))
 
 
 def test_perturb_statistics():
-    b = Direction(1.0, 0.0, 0.0)
-    devs = np.array(
-        [angle_between(b, perturb_pointing(b, PointingError(2.0, seed=s))) for s in range(10_000)]
-    )
+    rng = np.random.default_rng(42)
+    n = 10_000
+    b = np.tile([1.0, 0.0, 0.0], (n, 1))
+    out = perturb_pointing(b, rng.normal(0.0, 2.0, n), rng.uniform(0.0, 2.0 * math.pi, n))
+    devs = angles_between(b, out)
     # deviation angle is |N(0, 2 deg)|: RMS equals sigma
     assert math.sqrt(np.mean(devs**2)) == pytest.approx(2.0, abs=0.1)
     assert devs.max() < 10.0
-    out = perturb_pointing(b, PointingError(2.0, seed=42))
-    assert angle_between(b, out) < 10.0
+
+
+def test_perturb_outputs_unit_norm():
+    rng = np.random.default_rng(10)
+    b = _unit_rows(rng, 1_000)
+    out = perturb_pointing(b, rng.normal(0.0, 30.0, len(b)), rng.uniform(0.0, 2.0 * math.pi, len(b)))
+    assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-15

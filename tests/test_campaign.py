@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavfd import campaign
 from uavfd.campaign import (
     GS_POSITION,
     MAX_GRID_POINTS,
@@ -408,6 +409,15 @@ def test_csv_writer_matches_a_per_row_oracle(tmp_path_factory, table):
         fields = ["" if v is None else format(v, spec) for v, spec in zip(values, specs)]
         lines.append(",".join([*fields, "" if r.sync_ok is None else str(int(r.sync_ok))]))
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_csv_blocks_join_seamlessly(tmp_path, monkeypatch, capacity_dir01_analytic):
+    """Formatting a block of rows at a time writes the bytes of one whole-table block."""
+    table = mirror_symmetry(capacity_dir01_analytic)  # repeated values fall in different blocks
+    write_sweep_csv(tmp_path / "whole.csv", table)
+    monkeypatch.setattr(campaign, "_CSV_BLOCK_ROWS", 7)
+    write_sweep_csv(tmp_path / "blocks.csv", table)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_waveform_csv_round_trip_keeps_empty_fields(tmp_path, scenarios):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavfd.duplexing import (
     Assignment,
@@ -131,8 +133,6 @@ def test_duplicate_channel_use_violation():
 
 def test_impossible_channel_budget():
     with pytest.raises(ValueError):
-        build_channel_plan(4, min_separation=2, n_channels=3)
-    with pytest.raises(ValueError):
         build_channel_plan(0)
     with pytest.raises(ValueError):
         build_channel_plan(2, min_separation=0)
@@ -146,6 +146,15 @@ def test_plan_table_lists_channels():
 
 
 def test_channel_frequencies_follow_spacing():
-    plan = build_channel_plan(4, base_freq_hz=5.7e9, spacing_hz=10e6)
+    plan = build_channel_plan(4)
     freqs = [c.center_hz for c in plan.channels]
     assert freqs == [5.7e9, 5.71e9, 5.72e9, 5.73e9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 200), sep=st.integers(1, 400))
+def test_built_plans_are_valid_at_any_separation(n, sep):
+    plan = build_channel_plan(n, min_separation=sep)
+    assert validate_plan(plan) == []
+    assert len(plan.assignments) == n
+    assert all(abs(a.uplink - a.downlink) >= sep for a in plan.assignments)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavfd.geometry import Direction, Position, boresight_offset, distance, elevation_angle
+from uavfd.geometry import Position, boresight_offset, distance, elevation_angle
 
 
 def oracle_angle(node, pointing, target):
@@ -78,20 +78,6 @@ def test_position_requires_finite_coordinates():
         Position(math.nan, 0, 0)
     with pytest.raises(ValueError):
         Position(0, math.inf, 0)
-
-
-def test_direction_unit_norm():
-    d = Direction.from_vector(3, 4, 0)
-    assert (d.x, d.y) == pytest.approx((0.6, 0.8))
-    with pytest.raises(ValueError):
-        Direction(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        Direction.from_vector(0, 0, 0)
-
-
-def test_direction_between():
-    d = Direction.between(Position(0, 0, 0), Position(0, 0, 2))
-    assert d.as_tuple() == pytest.approx((0, 0, 1))
 
 
 def test_elevation_angle():

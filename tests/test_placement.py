@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from uavfd.campaign import GridSpec, SweepTable
+from uavfd.campaign import SweepTable
 from uavfd.metrics import capacity_fd, coverage_fraction
 from uavfd.placement import (
     ObjectiveKind,
     PlacementObjective,
-    best_position,
     best_record,
     feasible_region,
 )
@@ -69,21 +68,6 @@ def test_best_record_order_invariant(capacity_dir01_analytic):
 def test_best_max_capacity_is_argmax(capacity_dir01_analytic):
     result = best_record(capacity_dir01_analytic, MAX_C)
     assert all(result.value >= r.capacity_bps for r in capacity_dir01_analytic)
-
-
-def test_best_position_single_point_grid(scenarios):
-    g = GridSpec(x_start_m=20, x_end_m=20, y_start_m=10, y_end_m=10)
-    result = best_position(scenarios["directional-0.1"], g, MIN_I)
-    assert (result.position.x, result.position.y) == (20.0, 10.0)
-    assert result.index == 0
-
-
-def test_best_position_runs_required_sweep(scenarios):
-    g = GridSpec(x_start_m=10, x_end_m=14, x_step_m=4, y_start_m=28, y_end_m=30, y_step_m=2)
-    r_min = best_position(scenarios["directional-0.1"], g, MIN_I)
-    r_max = best_position(scenarios["directional-0.1"], g, MAX_C)
-    assert r_min.value <= -95.0 + 1e-9
-    assert r_max.value > 0.0
 
 
 def test_best_record_requires_capacity_for_max(power_dir01):
