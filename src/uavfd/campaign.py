@@ -17,9 +17,10 @@ array and a single `link_gain_db` call gives every interference gain.
 Two capacity engines are provided: `analytic` converts the power map
 directly to SINR and Shannon capacity, `waveform` actually runs framed
 OFDM through the combiner rig and derives SINR from measured EVM,
-including the possibility of synchronization failure.  Grid points are
-independent; per-point seeds are derived from (sweep seed, grid index) so
-results do not depend on evaluation order.
+including the possibility of synchronization failure; like the SDR rig,
+it replays one frame per sweep.  Grid points are independent: per-point
+seeds come from (sweep seed, stream, position in mm), so a point's result
+depends neither on evaluation order nor on the grid it was swept in.
 
 Sweep results are a `SweepTable` of float64 columns, row i being grid
 point i: x, y, h, reported and raw interference, desired power, EVM,
@@ -48,7 +49,7 @@ from .metrics import (
     sinr_analytic,
     sinr_from_evm,
 )
-from .phy import OfdmParams, RxResult, build_frame, impair, receive_frame
+from .phy import FrameBuffer, OfdmParams, RxResult, build_frame, impair, receive_frame
 from .propagation import NodeConfig, fspl_db, link_gain_db, noise_floor_dbm
 
 GS_POSITION = Position(0.0, 0.0, 0.1)
@@ -254,8 +255,12 @@ def grid_positions(spec: GridSpec, height_m: float) -> np.ndarray:
     return np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs)), np.full(len(xs) * len(ys), height_m)))
 
 
-def _derived_seed(base_seed: int, *keys: int) -> int:
-    return int(np.random.SeedSequence([base_seed, *keys]).generate_state(1)[0])
+def _point_seeds(seed: int, stream: int, pos: np.ndarray) -> list[np.random.SeedSequence]:
+    """One seed per (N, 3) position row, keyed to (seed, stream, position in whole mm)."""
+    mm = np.rint(pos * 1000.0)
+    # zigzag (0, -1, 1 -> 0, 1, 2): SeedSequence takes non-negative ints, and mirrored points stay apart
+    zigzag = np.where(mm >= 0.0, 2.0 * mm, -2.0 * mm - 1.0)
+    return [np.random.SeedSequence([seed, stream, *map(int, row)]) for row in zigzag.tolist()]
 
 
 def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
@@ -266,8 +271,10 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
     at the ground station from every grid point, and its received power is
     clamped below at the instrument floor.  All interference gains come
     from one `link_gain_db` call over the grid's (N, 3) position array.
-    A grid point on the ground station itself has no aim: ValueError.
+    A negative seed, or a grid point on the ground station (no aim): ValueError.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     f = scenario.carrier_freq_hz
     rx2 = NodeConfig(RX2_POSITION, scenario.antenna, GS_POSITION)
     tx2 = NodeConfig(GS_POSITION, scenario.antenna, RX2_POSITION)
@@ -281,8 +288,8 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
         raise ValueError(f"grid point ({x:g}, {y:g}, {h:g}) m is the ground station the interferer aims at")
     aims = np.broadcast_to(gs, pos.shape)
     if scenario.pointing_sigma_deg > 0.0:
-        # each point's aim is off by a deviation, then an azimuth, drawn from its own index-seeded generator
-        rngs = (np.random.default_rng(_derived_seed(seed, i, 0)) for i in range(len(pos)))
+        # each point's aim is off by a deviation, then an azimuth, drawn from its own position-keyed generator
+        rngs = (np.random.default_rng(s) for s in _point_seeds(seed, 0, pos))
         sigma = scenario.pointing_sigma_deg
         theta, phi = np.array([(r.normal(0.0, sigma), r.uniform(0.0, 2.0 * math.pi)) for r in rngs]).T
         aims = pos + perturb_pointing((gs - pos) / distance(pos, gs)[:, None], theta, phi)
@@ -314,31 +321,34 @@ def _retain_freed_heap() -> None:
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB of freed heap
 
 
-def measure_link(
-    params: OfdmParams,
-    n_symbols: int,
-    atten_desired_db: float,
-    atten_interferer_db: float,
-    noise_power_dbm: float,
-    seeds,
-) -> tuple[np.ndarray, RxResult]:
-    """Push one frame through the combiner rig and measure its EVM.
+def rig_frame(
+    params: OfdmParams, n_symbols: int, payload_seeds, interferer: bool = True
+) -> tuple[FrameBuffer, np.ndarray | None]:
+    """The rig's desired frame and, if asked, the interferer's stream, from two payload seeds.
 
-    seeds are the (desired payload, interferer payload, impair) seeds; no
-    interferer is built when atten_interferer_db is inf.  Returns the
-    impaired samples and the receiver result (EVM only, no decoding).
+    The interfering uplink is a free-running co-channel modem: the victim
+    sees its continuous data stream, not a preamble.
+    """
+    payload_bits = params.payload_bits(n_symbols)
+    frame = build_frame(params, np.random.default_rng(payload_seeds[0]).integers(0, 2, payload_bits))
+    if not interferer:
+        return frame, None
+    bits = np.random.default_rng(payload_seeds[1]).integers(0, 2, payload_bits)
+    return frame, build_frame(params, bits, pilot_stream=1).body_stream()
+
+
+def measure_link(
+    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise_power_dbm: float, seed
+) -> tuple[np.ndarray, RxResult]:
+    """Replay a frame through the combiner rig and measure its EVM.
+
+    seed seeds `impair`; the interferer is left out when it is None or
+    atten_interferer_db is inf.  Returns the impaired samples and the
+    receiver result (EVM only, no decoding).
     """
     _retain_freed_heap()
-    payload_bits = params.payload_bits(n_symbols)
-    frame = build_frame(params, np.random.default_rng(seeds[0]).integers(0, 2, payload_bits))
-    interferer = None
-    if atten_interferer_db != math.inf:
-        # the interfering uplink is a free-running co-channel modem:
-        # the victim sees its continuous data stream, not a preamble
-        bits = np.random.default_rng(seeds[1]).integers(0, 2, payload_bits)
-        interferer = build_frame(params, bits, pilot_stream=1).body_stream()
-    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise_power_dbm, seeds[2])
-    return mixed, receive_frame(mixed, params, frame.data_symbols, decode=False)
+    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise_power_dbm, seed)
+    return mixed, receive_frame(mixed, frame.params, frame.data_symbols, decode=False)
 
 
 def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
@@ -346,10 +356,10 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
 
     TDD mode yields a position-independent map at the calibrated baseline
     SNR.  FD mode uses the configured engine: `analytic` computes
-    S/(I+N) from the power map; `waveform` runs `measure_link` on one frame
-    per point, so SINR comes from measured EVM and a point with failed
-    time synchronization contributes zero capacity.  The power map's
-    columns are filled in, so the result carries both stages.
+    S/(I+N) from the power map; `waveform` replays one frame per sweep
+    through `measure_link` at every point, so SINR comes from measured EVM
+    and a point with failed time synchronization contributes zero capacity.
+    The power map's columns are filled in, so the result carries both stages.
     """
     table = run_power_sweep(scenario, grid, seed)
     cap_cfg = scenario.capacity_config()
@@ -375,9 +385,10 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         # white receiver noise: PSD fixed by the configured floor, integrated
         # over the full sampled band
         noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
+        frame, interferer = rig_frame(params, FRAME_SYMBOLS, [np.random.SeedSequence([seed, k]) for k in (1, 2)])
+        seeds = _point_seeds(seed, 3, np.column_stack((table.x, table.y, table.h)))
         for i, (des, intf) in enumerate(zip(table.desired_dbm.tolist(), i_dbm.tolist())):
-            seeds = [_derived_seed(seed, i, k) for k in (1, 2, 3)]
-            _, rx = measure_link(params, FRAME_SYMBOLS, -des, -intf, noise_wave_dbm, seeds)
+            _, rx = measure_link(frame, interferer, -des, -intf, noise_wave_dbm, seeds[i])
             table.sync_ok[i] = rx.sync_success
             if rx.sync_success:
                 table.evm_rms[i] = rx.evm_rms

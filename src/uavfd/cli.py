@@ -23,6 +23,7 @@ from .campaign import (
     measure_link,
     mirror_symmetry,
     read_sweep_csv,
+    rig_frame,
     run_capacity_sweep,
     write_csv_columns,
     write_sweep_csv,
@@ -226,8 +227,8 @@ def _cmd_modem(args) -> int:
     n_ok = 0
     for k in range(args.frames):
         seeds = [np.random.SeedSequence([args.seed, k, j]) for j in (0, 1, 2)]
-        seeds[2] = int(seeds[2].generate_state(1)[0])
-        mixed, rx = measure_link(params, args.symbols, 0.0, args.sir, noise_dbm, seeds)
+        frame, interferer = rig_frame(params, args.symbols, seeds, interferer=args.sir != math.inf)
+        mixed, rx = measure_link(frame, interferer, 0.0, args.sir, noise_dbm, int(seeds[2].generate_state(1)[0]))
         if args.dump_iq and k == 0:
             write_iq(args.dump_iq, mixed)
         if rx.sync_success:

@@ -268,15 +268,8 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     pre = _preamble(params)
 
     if payload.size == 0:
-        samples = pre.copy()
-        return FrameBuffer(
-            samples=samples,
-            params=params,
-            n_symbols=0,
-            data_symbols=np.zeros((0, params.n_data_subcarriers), dtype=np.complex128),
-            payload=payload,
-            pilot_stream=pilot_stream,
-        )
+        no_data = np.zeros((0, params.n_data_subcarriers), dtype=np.complex128)
+        return FrameBuffer(pre.copy(), params, 0, no_data, payload, pilot_stream)
 
     bits_per_ofdm = params.n_data_subcarriers * BITS_PER_SYMBOL
     n_coded = coded_length(payload.size)
@@ -309,14 +302,7 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     np.multiply(pre, math.sqrt(boost * body_power), out=samples[: params.preamble_samples])
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
 
-    return FrameBuffer(
-        samples=samples,
-        params=params,
-        n_symbols=n_symbols,
-        data_symbols=syms,
-        payload=payload,
-        pilot_stream=pilot_stream,
-    )
+    return FrameBuffer(samples, params, n_symbols, syms, payload, pilot_stream)
 
 
 def _as_samples(x) -> np.ndarray:
@@ -329,7 +315,7 @@ def impair(
     atten_desired_db: float,
     atten_interferer_db: float = math.inf,
     noise_power_dbm: float = -math.inf,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
     interferer_delay: int | None = None,
 ) -> np.ndarray:
     """Combine attenuated desired and interferer signals plus receiver noise.

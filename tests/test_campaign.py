@@ -20,13 +20,14 @@ from uavfd.campaign import (
     measure_link,
     mirror_symmetry,
     read_sweep_csv,
+    rig_frame,
     run_capacity_sweep,
     run_power_sweep,
     write_sweep_csv,
 )
 from uavfd.geometry import Position
 from uavfd.metrics import capacity_fd, coverage_fraction, sinr_analytic
-from uavfd.phy import OfdmParams
+from uavfd.phy import OfdmParams, build_frame
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -129,13 +130,14 @@ def test_scenario_rejects_bad_numbers(scenarios, field, value):
 
 def test_measure_link_one_frame_through_the_rig():
     params = OfdmParams()
-    mixed, rx = measure_link(params, 4, 0.0, math.inf, -math.inf, (1, 2, 3))
+    frame, interferer = rig_frame(params, 4, (1, 2))
+    mixed, rx = measure_link(frame, interferer, 0.0, math.inf, -math.inf, 3)
     assert rx.sync_success and rx.evm_rms < 1e-9
     assert mixed.size == params.frame_samples(4)
-    again, _ = measure_link(params, 4, 0.0, math.inf, -math.inf, (1, 2, 3))
+    again, _ = measure_link(*rig_frame(params, 4, (1, 2)), 0.0, math.inf, -math.inf, 3)
     assert np.array_equal(mixed, again)
     # a finite interferer attenuation adds the interferer's stream
-    jammed, rx_i = measure_link(params, 4, 0.0, 10.0, -math.inf, (1, 2, 3))
+    jammed, rx_i = measure_link(frame, interferer, 0.0, 10.0, -math.inf, 3)
     assert rx_i.sync_success and 0.2 < rx_i.evm_rms < 0.5
     assert not np.array_equal(mixed, jammed)
 
@@ -259,6 +261,106 @@ def test_waveform_engine_deterministic(scenarios):
     a = run_capacity_sweep(sc, g, seed=9)
     b = run_capacity_sweep(sc, g, seed=9)
     assert list(a) == list(b)
+
+
+@pytest.mark.parametrize(
+    "sweep,sigma,engine",
+    [(run_power_sweep, 0.0, "analytic"), (run_power_sweep, 2.0, "analytic"),
+     (run_capacity_sweep, 0.0, "analytic"), (run_capacity_sweep, 2.0, "waveform")],
+)
+def test_negative_seed_is_rejected_up_front(scenarios, sweep, sigma, engine):
+    sc = replace(scenarios["directional-0.1"], pointing_sigma_deg=sigma, engine=engine)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sweep(sc, GridSpec(x_start_m=10, x_end_m=12, y_end_m=2), seed=-1)
+
+
+# The position-keyed seed rule: a point's draws depend on (seed, position), not on the grid it sits in.
+SUB_GRID_SEED = 5
+
+
+def _wobbly(scenarios):
+    return replace(scenarios["directional-0.1"], pointing_sigma_deg=2.0)
+
+
+@pytest.fixture(scope="module")
+def full_sweeps(scenarios, grid):
+    waveform = replace(scenarios["directional-0.1"], engine="waveform")
+    return {
+        "waveform": (run_capacity_sweep, waveform, run_capacity_sweep(waveform, grid, SUB_GRID_SEED)),
+        "pointing": (run_power_sweep, _wobbly(scenarios), run_power_sweep(_wobbly(scenarios), grid, SUB_GRID_SEED)),
+    }
+
+
+@st.composite
+def sub_grids(draw):
+    """A block of the default grid, offset from its corner and strided by whole steps, and its full-grid rows."""
+    full = GridSpec()
+    nx, ny = len(full.x_values()), len(full.y_values())
+    mx, my = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    i0, j0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+    i1 = draw(st.integers(i0, min(nx - 1, i0 + 2 * mx)).filter(lambda i: (i - i0) % mx == 0))
+    j1 = draw(st.integers(j0, min(ny - 1, j0 + 2 * my)).filter(lambda j: (j - j0) % my == 0))
+    x, y = full.x_values(), full.y_values()
+    sub = GridSpec(
+        x_start_m=x[i0], x_end_m=x[i1], x_step_m=mx * full.x_step_m,
+        y_start_m=y[j0], y_end_m=y[j1], y_step_m=my * full.y_step_m,
+    )
+    rows = [i * ny + j for i in range(i0, i1 + 1, mx) for j in range(j0, j1 + 1, my)]
+    return sub, rows
+
+
+def _bits(table: SweepTable) -> np.ndarray:
+    return np.array(table.columns()).view(np.int64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=sub_grids(), kind=st.sampled_from(["waveform", "pointing"]))
+def test_sub_grid_rows_are_the_full_sweep_rows(full_sweeps, case, kind):
+    grid, rows = case
+    sweep, scenario, full = full_sweeps[kind]
+    assert np.array_equal(_bits(sweep(scenario, grid, SUB_GRID_SEED)), _bits(full.take(rows)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64), min_size=2, max_size=2, unique=True))
+def test_two_seeds_differ_at_some_point(scenarios, seeds):
+    grid = GridSpec(x_start_m=62, x_end_m=70, y_end_m=6)  # beyond the victim: it sits in the interferer's beam
+    a, b = (run_power_sweep(_wobbly(scenarios), grid, s).interference_raw_dbm for s in seeds)
+    assert not np.array_equal(a, b)
+    # every point of this grid syncs, well above the noise
+    waveform = replace(scenarios["directional-0.1"], engine="waveform")
+    small = GridSpec(x_start_m=40, x_end_m=42, y_start_m=10, y_end_m=12)
+    a, b = (run_capacity_sweep(waveform, small, s).evm_rms for s in seeds)
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    assert not np.array_equal(a, b)
+
+
+def test_mirrored_points_are_keyed_apart(scenarios):
+    grid = GridSpec(x_start_m=-4, x_end_m=20, y_start_m=-6, y_end_m=6)
+    pos = grid_positions(grid, 0.1)
+    keys = {tuple(s.generate_state(4)) for s in campaign._point_seeds(0, 0, pos)}
+    assert len(keys) == len(pos)
+    # at 0 deg the map is mirror symmetric in y; the 2 deg draws at (x, y) and (x, -y) are not
+    grid = GridSpec(x_start_m=62, x_end_m=70, y_start_m=-6, y_end_m=6)
+    raw = run_power_sweep(_wobbly(scenarios), grid).interference_raw_dbm.reshape(len(grid.x_values()), -1)
+    assert np.abs(raw - raw[:, ::-1]).max() > 0.1
+
+
+@pytest.mark.parametrize(
+    "grid,n",
+    [(GridSpec(x_start_m=70, y_start_m=30), 1), (GridSpec(x_start_m=58, x_end_m=62, y_end_m=6), 12),
+     (GridSpec(x_start_m=10, x_end_m=24, y_end_m=14), 64)],
+)
+def test_waveform_sweep_builds_two_frames(monkeypatch, scenarios, grid, n):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_frame(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "build_frame", counted)
+    table = run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid)
+    assert len(table) == n and len(calls) == 2
 
 
 def test_mirror_symmetry(power_dir01):
