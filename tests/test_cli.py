@@ -399,7 +399,8 @@ def test_config_bad_grid_is_data_error(tmp_path, capsys, line, field):
 
 # SHA-256 of every CSV `uavfd sweep --engine analytic` writes, recorded before
 # the power map became one array pass: the four presets on the default grid,
-# and directional-0.1 with 2 deg of pointing error at seed 1 (under pointing/).
+# and directional-0.1 with 2 deg of pointing error at seed 1 (under pointing/;
+# recorded again when the per-point seeds became keyed to position).
 SWEEP_CSV_SHA256 = {
     "dipole-0.1_capacity.csv": "b664de86efb37a3edb42f37cb5a114ce2b26263c3d763d75e691379c1263b839",
     "dipole-0.1_capacity_mirrored.csv": "651ceeafcb4837459ed888cc7d8ee582de12444c6d24581c9b8e2830aca55e20",
@@ -413,10 +414,10 @@ SWEEP_CSV_SHA256 = {
     "directional-1.8_capacity_mirrored.csv": "f7183a06ace9c2b8d709b5d2e517592414f0ae99b287e3cc038c3b3ae59f6fe8",
     "directional-1.8_power.csv": "a0db4251aa787e9a2b476d094629512104e3bd6c876312ab2b3b4a38373e18fc",
     "directional-1.8_power_mirrored.csv": "20bebb5468e4054b8ae8254b4fc766864335fe6ec9840d936e6723c071e2ad18",
-    "pointing/directional-0.1_capacity.csv": "5ad03f8c0038c6afcb1f99480aef9458d3c01dedfb8c1e72cb7303d80d478171",
-    "pointing/directional-0.1_capacity_mirrored.csv": "bbbac4b09fbf53cf2643e2406263a2638fc13561f1ec0e778452b0cf367657b4",
-    "pointing/directional-0.1_power.csv": "e8ba908b7ff8af5fa0272de4e37e5ae580834d8cc2e039aee9bada62249b7f07",
-    "pointing/directional-0.1_power_mirrored.csv": "c61e3871b08e2a300d83dcb0f257623880acd1187b31389b166cf49c7b6a3059",
+    "pointing/directional-0.1_capacity.csv": "ee8d172faf88e923d2208b88df58ccb944394789fbc6b2f24de77f630dee1b45",
+    "pointing/directional-0.1_capacity_mirrored.csv": "e63bfff54d944276e5163f302694dbf48b7ab3ef950c042e5f9a91230e542148",
+    "pointing/directional-0.1_power.csv": "6127885caa39acafb8e549034ee2fe34b027e2ab68e711438bf257ae2515898f",
+    "pointing/directional-0.1_power_mirrored.csv": "edeba0ea921d3ff957e31d63d0233d5286aac90600b66e7a3b2760e5515b8db1",
     "tdd-baseline_capacity.csv": "c628a59d390934b1fe5847537f64d38602562f678eef163a0612975a8507ab09",
     "tdd-baseline_capacity_mirrored.csv": "0da1c2287cb335ae9aa10be46d1a10eaa6108f4cb74831dd6afac34cd41b2570",
     "tdd-baseline_power.csv": "75884c2d81fe8175eb7c58302b7f0f4945c7149c615944a142afb61841515fb1",
@@ -440,15 +441,17 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
 
 # SHA-256 of the CSVs `uavfd sweep --engine waveform` writes at seed 0 on the
 # 20-point grid x 54..62 × y 0..6 (step 2), which holds the point on top of
-# the victim receiver.  Recorded before the sweep results became columns;
-# failed-sync rows have empty EVM and SINR fields.
+# the victim receiver.  Recorded before the sweep results became columns,
+# and the directional-0.1 capacity files again when the rig began to replay
+# one frame per sweep with position-keyed seeds; failed-sync rows have empty
+# EVM and SINR fields.
 WAVEFORM_CSV_SHA256 = {
     "dipole-0.1_capacity.csv": "0404d3474c8679a8be26309f6da154ba23c78b885d1b4267bb169d28e9272eee",
     "dipole-0.1_capacity_mirrored.csv": "25bcc120ab0db31534a56b3df7e7ab659a37bbf1f50e889f77495ec9f53e47b0",
     "dipole-0.1_power.csv": "e37f8ac2d54b552b9b4c335275ddc9ad03e19376ffbb0d289694e1f9652a4129",
     "dipole-0.1_power_mirrored.csv": "a93376ad4fd9b06132bef78733d8daa099987440d448a1239a100a18c14046b3",
-    "directional-0.1_capacity.csv": "a337018062c4179accc2699167c0e2088df804886ec20dc486e634c240e7afc5",
-    "directional-0.1_capacity_mirrored.csv": "44ae18da166f6cde0b6fc0952320d3e30dc53803a3b22536c9cc38af5547afe7",
+    "directional-0.1_capacity.csv": "b7d9e943d794853f03d809441f8e5c48837ba5efaf1fd71616a54e703fff5b2c",
+    "directional-0.1_capacity_mirrored.csv": "126380e1f610f093deac1a60483b367241222fcfb1991e21ce9bb62982087c8c",
     "directional-0.1_power.csv": "0f62b9869a8aa0fcdc6b95c0de6644e231284d74c6cf4913dc185034a090b0ab",
     "directional-0.1_power_mirrored.csv": "d4e2bab84c28e9c398ea67d3d91421ad1e98287cbc9fd0ab21f30d0273ff8657",
 }
