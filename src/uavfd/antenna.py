@@ -70,7 +70,8 @@ def gain_db(
     dipole, which ignores azimuth entirely).  Floats give a float.
     """
     if spec.kind is AntennaKind.HORN:
-        rolloff = 12.0 * (np.abs(offset_deg) / spec.hpbw_deg) ** 2
+        # square, not pow: libm pow can miss x * x by an ulp, and arrays square (a 1-row batch then equals a scalar)
+        rolloff = 12.0 * np.square(np.abs(offset_deg) / spec.hpbw_deg)
         return float_or_array(spec.boresight_gain_dbi - np.minimum(rolloff, spec.front_to_back_db))
     # dipole: azimuth-omni, cosine elevation pattern
     c = np.maximum(np.abs(np.cos(np.radians(elevation_deg))), DIPOLE_ELEVATION_FLOOR)

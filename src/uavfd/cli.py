@@ -227,7 +227,7 @@ def _cmd_modem(args) -> int:
     n_ok = 0
     for k in range(args.frames):
         seeds = [np.random.SeedSequence([args.seed, k, j]) for j in (0, 1, 2)]
-        frame, interferer = rig_frame(params, args.symbols, seeds, interferer=args.sir != math.inf)
+        frame, interferer = rig_frame(params, args.symbols, seeds[:2], interferer=args.sir != math.inf)
         mixed, rx = measure_link(frame, interferer, 0.0, args.sir, noise_dbm, int(seeds[2].generate_state(1)[0]))
         if args.dump_iq and k == 0:
             write_iq(args.dump_iq, mixed)
