@@ -255,8 +255,8 @@ def grid_positions(spec: GridSpec, height_m: float) -> np.ndarray:
     return np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs)), np.full(len(xs) * len(ys), height_m)))
 
 
-def _point_seeds(seed: int, stream: int, pos: np.ndarray) -> list[np.random.SeedSequence]:
-    """One seed per (N, 3) position row, keyed to (seed, stream, position in whole mm)."""
+def _point_seeds(seed: int, stream: int, pos: np.ndarray) -> list:
+    """One SeedSequence per (N, 3) position row, keyed to (seed, stream, position in whole mm)."""
     mm = np.rint(pos * 1000.0)
     # zigzag (0, -1, 1 -> 0, 1, 2): SeedSequence takes non-negative ints, and mirrored points stay apart
     zigzag = np.where(mm >= 0.0, 2.0 * mm, -2.0 * mm - 1.0)

@@ -315,7 +315,7 @@ def impair(
     atten_desired_db: float,
     atten_interferer_db: float = math.inf,
     noise_power_dbm: float = -math.inf,
-    seed: int | np.random.SeedSequence = 0,
+    seed: "int | np.random.SeedSequence" = 0,  # quoted: numpy imports np.random lazily
     interferer_delay: int | None = None,
 ) -> np.ndarray:
     """Combine attenuated desired and interferer signals plus receiver noise.
