@@ -315,7 +315,7 @@ def impair(
     atten_desired_db: float,
     atten_interferer_db: float = math.inf,
     noise_power_dbm: float = -math.inf,
-    seed: "int | np.random.SeedSequence" = 0,  # quoted: numpy imports np.random lazily
+    seed=0,
     interferer_delay: int | None = None,
 ) -> np.ndarray:
     """Combine attenuated desired and interferer signals plus receiver noise.
@@ -326,7 +326,7 @@ def impair(
     None) and tiled/truncated to the desired signal's length, modeling an
     unsynchronized transmitter.  Noise is circular complex Gaussian with
     total power noise_power_dbm.  Draw order is fixed (delay, then noise),
-    so a given seed always produces the same output.
+    so a given seed (an int or a SeedSequence) always gives the same output.
     """
     d = _as_samples(desired)
     rng = np.random.default_rng(seed)
