@@ -379,9 +379,7 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         sinr = sinr_analytic(table.desired_dbm, i_dbm, noise_dbm)
         table.sync_ok[:] = 1.0
     else:
-        params = OfdmParams(
-            sampling_rate_hz=15.36e6, bandwidth_hz=scenario.bandwidth_hz, carrier_freq_hz=scenario.carrier_freq_hz
-        )
+        params = OfdmParams()
         # white receiver noise: PSD fixed by the configured floor, integrated
         # over the full sampled band
         noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)

@@ -145,7 +145,12 @@ def load_run_config(
     except ValueError as e:
         raise DataError(f"{path}: invalid grid: {e}") from e
 
-    seed = _coerce(path, "seed", *entries["seed"], int) if "seed" in entries else 0
+    seed = 0
+    if "seed" in entries:
+        value, lineno = entries["seed"]
+        seed = _coerce(path, "seed", value, lineno, int)
+        if seed < 0:
+            raise DataError(f"{path}:{lineno}: seed must be >= 0")
     out_dir = Path(entries["out"][0]) if "out" in entries else Path(".")
     return RunConfig(scenario_name=name, scenario=scenario, grid=grid, seed=seed, out_dir=out_dir)
 

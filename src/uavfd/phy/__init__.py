@@ -1,8 +1,7 @@
 """Waveform-level OFDM modem: FEC, framing, impairment rig, receiver."""
 
-from .fec import coded_length, fec_decode, fec_encode, payload_length
+from .fec import coded_length, fec_decode, fec_encode
 from .modem import (
-    BITS_PER_SYMBOL,
     FrameBuffer,
     OfdmParams,
     build_frame,
@@ -10,14 +9,11 @@ from .modem import (
     impair,
     map_16qam,
     noise_power_for_subcarrier_snr,
-    pilot_values,
-    preamble,
     write_iq,
 )
 from .receiver import RxResult, SYNC_THRESHOLD, SyncResult, receive_frame, synchronize
 
 __all__ = [
-    "BITS_PER_SYMBOL",
     "FrameBuffer",
     "OfdmParams",
     "RxResult",
@@ -31,9 +27,6 @@ __all__ = [
     "impair",
     "map_16qam",
     "noise_power_for_subcarrier_snr",
-    "payload_length",
-    "pilot_values",
-    "preamble",
     "receive_frame",
     "synchronize",
     "write_iq",

@@ -39,16 +39,6 @@ def coded_length(n_payload_bits: int) -> int:
     return RATE_DEN * (n_payload_bits + TAIL_BITS)
 
 
-def payload_length(n_coded_bits: int) -> int:
-    """Payload bits recoverable from a coded block; inverse of coded_length."""
-    if n_coded_bits % RATE_DEN != 0:
-        raise ValueError(f"coded length must be a multiple of {RATE_DEN}")
-    n = n_coded_bits // RATE_DEN - TAIL_BITS
-    if n < 0:
-        raise ValueError(f"coded block of {n_coded_bits} bits is shorter than the tail")
-    return n
-
-
 def fec_encode(bits) -> np.ndarray:
     """Encode payload bits; output interleaves the two generator streams."""
     u = np.asarray(bits, dtype=np.uint8).ravel()

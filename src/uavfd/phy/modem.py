@@ -4,8 +4,7 @@ The waveform mirrors an LTE-like 10 MHz configuration: 1024-point FFT at
 15.36 MHz sampling (15 kHz subcarrier spacing), 600 active subcarriers
 centered around an unused DC bin, comb pilots on every 8th active
 subcarrier, 16QAM data, and a repeated-half preamble for timing metric
-synchronization.  The carrier frequency is metadata only; all processing
-is complex baseband.
+synchronization.  All processing is complex baseband.
 
 Frames carry their transmitted data symbols so a receiver can compute a
 reference (genie) EVM.  `impair` models the measurement rig: two adjustable
@@ -40,8 +39,6 @@ class OfdmParams:
     active_subcarriers: int = 600
     pilot_spacing: int = 8
     sampling_rate_hz: float = 15.36e6
-    bandwidth_hz: float = 10e6
-    carrier_freq_hz: float = 5.7e9
     preamble_boost_db: float = 3.0
 
     def __post_init__(self):
@@ -71,10 +68,6 @@ class OfdmParams:
     @property
     def n_data_subcarriers(self) -> int:
         return self.active_subcarriers - self.n_pilots
-
-    @property
-    def subcarrier_spacing_hz(self) -> float:
-        return self.sampling_rate_hz / self.fft_size
 
     def frame_samples(self, n_symbols: int) -> int:
         return self.preamble_samples + n_symbols * self.symbol_samples
@@ -134,7 +127,8 @@ def _subcarrier_maps(params: OfdmParams) -> _SubcarrierMaps:
     return _SubcarrierMaps(*(_read_only(a) for a in maps))
 
 
-def pilot_values(params: OfdmParams, n_symbols: int, pilot_stream: int = 0) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _pilot_matrix(params: OfdmParams, n_symbols: int, pilot_stream: int = 0) -> np.ndarray:
     """Fixed pseudo-random QPSK pilot sequence, one row per OFDM symbol.
 
     The sequence advances from symbol to symbol and is scrambled per
@@ -142,11 +136,6 @@ def pilot_values(params: OfdmParams, n_symbols: int, pilot_stream: int = 0) -> n
     so a co-channel transmitter running the same frame clock can never stay
     coherent on the victim's pilot bins across a frame.
     """
-    return _pilot_matrix(params, n_symbols, pilot_stream).copy()
-
-
-@lru_cache(maxsize=32)
-def _pilot_matrix(params: OfdmParams, n_symbols: int, pilot_stream: int = 0) -> np.ndarray:
     rows = np.empty((n_symbols, params.n_pilots), dtype=np.complex128)
     for s in range(n_symbols):
         rng = np.random.default_rng(np.random.SeedSequence([_PILOT_SEED, pilot_stream, s]))
@@ -172,10 +161,6 @@ def _preamble(params: OfdmParams) -> np.ndarray:
     return _read_only(t / np.sqrt(np.mean(np.abs(t) ** 2)))
 
 
-def preamble(params: OfdmParams) -> np.ndarray:
-    return _preamble(params).copy()
-
-
 def map_16qam(bits) -> np.ndarray:
     """Gray-mapped 16QAM with unit average energy.
 
@@ -190,34 +175,21 @@ def map_16qam(bits) -> np.ndarray:
     return _QAM_POINTS[b.reshape(-1, BITS_PER_SYMBOL) @ [8, 4, 2, 1]]
 
 
-def _axis_bits_hard(levels_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u0 = (levels_scaled < 0).astype(np.uint8)
-    u1 = (np.abs(levels_scaled) > 2.0).astype(np.uint8)
-    return u0, u1
+def demap_16qam(symbols) -> np.ndarray:
+    """Demap 16QAM symbols to one LLR per bit (positive means bit 0).
 
-
-def demap_16qam(symbols, soft: bool = False) -> np.ndarray:
-    """Demap 16QAM symbols to bits.
-
-    Hard output returns 0/1 decisions.  Soft output returns one LLR per
-    bit (positive means bit 0), computed as exact min-distance differences
-    over the four levels of each axis; the scale is arbitrary, which is
-    fine for the max-correlation Viterbi decoder downstream.
+    The LLRs are exact min-distance differences over the four levels of
+    each axis; the scale is arbitrary, which is fine for the
+    max-correlation Viterbi decoder downstream.
     """
     y = np.asarray(symbols, dtype=np.complex128).ravel() / _QAM_SCALE
     out = np.empty((y.size, BITS_PER_SYMBOL))
     for col, axis in ((0, y.real), (2, y.imag)):
-        if soft:
-            d2 = (axis[:, None] - _QAM_LEVELS[None, :]) ** 2
-            # level order (-3, -1, +1, +3) <-> axis bit pairs (11, 10, 00, 01)
-            out[:, col] = np.minimum(d2[:, 0], d2[:, 1]) - np.minimum(d2[:, 2], d2[:, 3])
-            out[:, col + 1] = np.minimum(d2[:, 0], d2[:, 3]) - np.minimum(d2[:, 1], d2[:, 2])
-        else:
-            u0, u1 = _axis_bits_hard(axis)
-            out[:, col] = u0
-            out[:, col + 1] = u1
-    flat = out.ravel()
-    return flat if soft else flat.astype(np.uint8)
+        d2 = (axis[:, None] - _QAM_LEVELS[None, :]) ** 2
+        # level order (-3, -1, +1, +3) <-> axis bit pairs (11, 10, 00, 01)
+        out[:, col] = np.minimum(d2[:, 0], d2[:, 1]) - np.minimum(d2[:, 2], d2[:, 3])
+        out[:, col + 1] = np.minimum(d2[:, 0], d2[:, 3]) - np.minimum(d2[:, 1], d2[:, 2])
+    return out.ravel()
 
 
 @dataclass(frozen=True)
@@ -234,7 +206,6 @@ class FrameBuffer:
     n_symbols: int
     data_symbols: np.ndarray
     payload: np.ndarray
-    pilot_stream: int = 0
 
     def __post_init__(self):
         expect = self.params.frame_samples(self.n_symbols)
@@ -249,8 +220,6 @@ class FrameBuffer:
         than a full frame) to `impair` keeps the interferer from presenting
         a lock-able preamble of its own.
         """
-        if self.n_symbols == 0:
-            raise ValueError("preamble-only frame has no body")
         body = self.samples[self.params.preamble_samples :]
         return body / np.sqrt(np.mean(np.abs(body) ** 2))
 
@@ -259,18 +228,11 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     """FEC-encode, map, and modulate a payload into a baseband frame.
 
     The payload must exactly fill a whole number of OFDM symbols after
-    rate-1/2 encoding (see OfdmParams.payload_bits).  An empty payload
-    produces a preamble-only frame.  The emitted frame has unit average
-    sample power.  pilot_stream selects the transmitter's pilot scrambling;
-    co-channel transmitters should use distinct ids.
+    rate-1/2 encoding (see OfdmParams.payload_bits).  The emitted frame
+    has unit average sample power.  pilot_stream selects the transmitter's
+    pilot scrambling; co-channel transmitters should use distinct ids.
     """
     payload = np.asarray(payload_bits, dtype=np.uint8).ravel()
-    pre = _preamble(params)
-
-    if payload.size == 0:
-        no_data = np.zeros((0, params.n_data_subcarriers), dtype=np.complex128)
-        return FrameBuffer(pre.copy(), params, 0, no_data, payload, pilot_stream)
-
     bits_per_ofdm = params.n_data_subcarriers * BITS_PER_SYMBOL
     n_coded = coded_length(payload.size)
     if n_coded % bits_per_ofdm != 0:
@@ -299,10 +261,10 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
 
     body_power = np.mean(np.abs(body) ** 2)
     boost = 10.0 ** (params.preamble_boost_db / 10.0)
-    np.multiply(pre, math.sqrt(boost * body_power), out=samples[: params.preamble_samples])
+    np.multiply(_preamble(params), math.sqrt(boost * body_power), out=samples[: params.preamble_samples])
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
 
-    return FrameBuffer(samples, params, n_symbols, syms, payload, pilot_stream)
+    return FrameBuffer(samples, params, n_symbols, syms, payload)
 
 
 def _as_samples(x) -> np.ndarray:
@@ -316,17 +278,16 @@ def impair(
     atten_interferer_db: float = math.inf,
     noise_power_dbm: float = -math.inf,
     seed=0,
-    interferer_delay: int | None = None,
 ) -> np.ndarray:
     """Combine attenuated desired and interferer signals plus receiver noise.
 
     Power accounting is relative to the 0 dBm unit-power reference: a frame
     attenuated by A dB arrives at -A dBm.  The interferer is circularly
-    shifted by interferer_delay samples (drawn uniformly from the seed when
-    None) and tiled/truncated to the desired signal's length, modeling an
-    unsynchronized transmitter.  Noise is circular complex Gaussian with
-    total power noise_power_dbm.  Draw order is fixed (delay, then noise),
-    so a given seed (an int or a SeedSequence) always gives the same output.
+    shifted by a delay drawn uniformly from the seed and repeated or cut to
+    the desired signal's length, modeling an unsynchronized transmitter.
+    Noise is circular complex Gaussian with total power noise_power_dbm.
+    Draw order is fixed (delay, then noise), so a given seed (an int or a
+    SeedSequence) always gives the same output.
     """
     d = _as_samples(desired)
     rng = np.random.default_rng(seed)
@@ -334,13 +295,9 @@ def impair(
 
     if interferer is not None and atten_interferer_db != math.inf:
         i = _as_samples(interferer)
-        if interferer_delay is None:
-            interferer_delay = int(rng.integers(0, i.size))
-        # np.roll and np.tile return copies, so scaling in place never touches the caller's array
-        i = np.roll(i, interferer_delay)
-        if i.size != d.size:
-            reps = int(np.ceil(d.size / i.size))
-            i = np.tile(i, reps)[: d.size]
+        delay = int(rng.integers(0, i.size))
+        # sample k is i[(k - delay) mod len(i)]: one copy, so scaling in place never touches the caller's array
+        i = np.take(i, np.arange(-delay, d.size - delay), mode="wrap")
         i *= 10.0 ** (-atten_interferer_db / 20.0)
         out += i
 

@@ -37,10 +37,8 @@ _ENERGY_EPS = 1e-30
 class SyncResult:
     success: bool
     metric: float
-    preamble_start: int | None = None
     frame_start: int | None = None  # first OFDM symbol (start of its CP)
     cfo_subcarriers: float | None = None
-    cfo_hz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class RxResult:
     sync_metric: float
     evm_rms: float | None = None
     payload: np.ndarray | None = None
-    freq_offset_hz: float | None = None
 
 
 def _derotate(rows: np.ndarray, cfo_subcarriers: float, row_starts: np.ndarray, fft_size: int) -> np.ndarray:
@@ -64,11 +61,11 @@ def _derotate(rows: np.ndarray, cfo_subcarriers: float, row_starts: np.ndarray, 
     return out
 
 
-def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) -> SyncResult:
+def synchronize(samples, params: OfdmParams) -> SyncResult:
     """Locate the frame start, or fail when no usable preamble is found.
 
     Returns the coarse timing metric peak; success requires it to reach
-    `threshold`.  On success the start estimate is refined by
+    SYNC_THRESHOLD.  On success the start estimate is refined by
     cross-correlation with the known preamble and the fractional frequency
     offset is estimated from the half-lag correlation phase.  The coarse
     offset is removed from the matched-filter window only, not the buffer.
@@ -89,7 +86,7 @@ def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) 
     metric = np.abs(p) / np.maximum(r, _ENERGY_EPS)
     peak = int(np.argmax(metric))
     peak_metric = float(metric[peak])
-    if peak_metric < threshold:
+    if peak_metric < SYNC_THRESHOLD:
         return SyncResult(success=False, metric=peak_metric)
 
     cfo_coarse = float(np.angle(p[peak]) / math.pi)
@@ -112,21 +109,18 @@ def synchronize(samples, params: OfdmParams, threshold: float = SYNC_THRESHOLD) 
     return SyncResult(
         success=True,
         metric=peak_metric,
-        preamble_start=start,
         frame_start=start + params.preamble_samples,
         cfo_subcarriers=cfo_sc,
-        cfo_hz=cfo_sc * params.subcarrier_spacing_hz,
     )
 
 
-def receive_frame(
-    samples, params: OfdmParams, reference_symbols, decode: bool = True, pilot_stream: int = 0
-) -> RxResult:
+def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool = True) -> RxResult:
     """Demodulate a frame and measure its EVM against the transmitted symbols.
 
     reference_symbols is the (n_symbols, n_data) matrix of unit-energy
     constellation points the transmitter sent (FrameBuffer.data_symbols);
     the EVM is the RMS distance of the equalized data symbols from it.
+    The channel is estimated on the pilots of stream 0, the desired link's.
     Synchronization failure propagates as a link-down result with no EVM.
     When decode is False the Viterbi stage is skipped and no payload is
     returned, which is considerably faster for EVM-only sweeps.  The
@@ -154,7 +148,7 @@ def receive_frame(
 
     maps = _subcarrier_maps(params)
     pilot_pos, data_pos = maps.pilot_pos, maps.data_pos
-    pilots = _pilot_matrix(params, n_symbols, pilot_stream)
+    pilots = _pilot_matrix(params, n_symbols, 0)
     rx_pilots = spectrum[:, maps.pilot_bins]
     rx_data = spectrum[:, maps.data_bins]
 
@@ -179,7 +173,7 @@ def receive_frame(
 
     payload = None
     if decode:
-        llr = demap_16qam(y_eq.ravel(), soft=True)
+        llr = demap_16qam(y_eq.ravel())
         payload = fec_decode(llr)
 
     return RxResult(
@@ -187,5 +181,4 @@ def receive_frame(
         sync_metric=sync.metric,
         evm_rms=evm,
         payload=payload,
-        freq_offset_hz=sync.cfo_hz,
     )

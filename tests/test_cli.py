@@ -1,6 +1,10 @@
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -534,3 +538,37 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
     )
     assert code == 1
     assert "seed" in err
+
+
+def test_negative_seed_in_config_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(f"scenario = directional-0.1\nout = {tmp_path}\nseed = -1\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "neg.cfg:3: seed must be >= 0" in err
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_and_analytic_sweep_leave_numpy_random_unloaded(tmp_path):
+    # loading numpy.random costs the analytic sweep several percent of its peak RSS
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "import uavfd.cli\n"
+        "after_import = 'numpy.random' in sys.modules\n"
+        f"argv = ['sweep', '--scenario', 'directional-0.1', '--engine', 'analytic', '--out', {str(tmp_path)!r}]\n"
+        "assert uavfd.cli.main(argv) == 0\n"
+        "print(eager, after_import, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    eager, after_import, after_sweep = proc.stdout.split()[-3:]
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert (after_import, after_sweep) == ("False", "False")

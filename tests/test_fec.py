@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from uavfd.phy import coded_length, fec_decode, fec_encode, payload_length
+from uavfd.phy import coded_length, fec_decode, fec_encode
 from uavfd.phy.fec import _PM_LIMIT, CONSTRAINT_LENGTH, GENERATORS, TAIL_BITS
 
 
@@ -132,9 +132,6 @@ def test_coded_length():
     assert coded_length(100) == 2 * 106
     assert fec_encode(np.zeros(100, dtype=np.uint8)).size == coded_length(100)
     assert np.array_equal(fec_encode([]), np.zeros(coded_length(0), dtype=np.uint8))
-    assert payload_length(coded_length(123)) == 123
-    with pytest.raises(ValueError):
-        payload_length(3)
 
 
 def test_noiseless_round_trip():
