@@ -29,7 +29,7 @@ from .campaign import (
     write_sweep_csv,
 )
 from .duplexing import build_channel_plan, format_plan_table, validate_plan
-from .metrics import cdf, cdf_at
+from .metrics import cdf, cdf_at, sinr_analytic, sinr_from_evm
 from .phy import OfdmParams, noise_power_for_subcarrier_snr, write_iq
 from .placement import ObjectiveKind, PlacementObjective, best_record, feasible_region
 
@@ -246,9 +246,10 @@ def _cmd_modem(args) -> int:
         print(head + " sync=failed")
         return 0
     evm = math.sqrt(evm_sq_sum / n_ok)
-    sinr_evm = -20.0 * math.log10(evm) if evm > 0 else math.inf
-    denom = 10.0 ** (-args.snr / 10.0) + 10.0 ** (-args.sir / 10.0)
-    sinr_ref = math.inf if denom == 0.0 else -10.0 * math.log10(denom)
+    sinr_evm = sinr_from_evm(evm)
+    # levels in dBm are minus the rig's attenuations: the desired frame's 0 dB gives -0.0 dBm,
+    # so an SIR of 0 dB without noise prints sinr_analytic_db=-0.000
+    sinr_ref = sinr_analytic(-0.0, -args.sir, -args.snr)
     gap = sinr_evm - sinr_ref
     print(
         head

@@ -59,9 +59,13 @@ def sinr_analytic(signal_dbm: Values, interference_dbm: Values, noise_dbm: float
 
 
 def capacity_fd(cfg: CapacityConfig, sinr_db: Values) -> Values:
-    """Full-duplex Shannon capacity in bit/s; the link owns the band continuously."""
+    """Full-duplex Shannon capacity in bit/s; the link owns the band continuously.
+
+    log1p keeps the relative error near one ulp at low SINR, where
+    rounding 1 + x would cost about 1e-16 / x.
+    """
     snr_lin = 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0)
-    return float_or_array(cfg.bandwidth_hz * np.log2(1.0 + snr_lin))
+    return float_or_array(cfg.bandwidth_hz * np.log1p(snr_lin) / np.log(2.0))
 
 
 def capacity_tdd(cfg: CapacityConfig, snr_db: float) -> float:

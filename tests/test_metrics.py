@@ -148,4 +148,4 @@ def test_sinr_and_capacity_arrays_match_per_element_calls(interference, noise):
     for i, c in zip(interference, caps.tolist()):
         # an independent math-module oracle of the two formulas
         sinr = -86.0 - 10.0 * math.log10(10.0 ** (i / 10.0) + 10.0 ** (noise / 10.0))
-        assert c == pytest.approx(10e6 * math.log2(1.0 + 10.0 ** (min(sinr, 30.0) / 10.0)), rel=1e-9)
+        assert c == pytest.approx(10e6 * math.log1p(10.0 ** (min(sinr, 30.0) / 10.0)) / math.log(2), rel=1e-9)
