@@ -17,10 +17,14 @@ array and a single `link_gain_db` call gives every interference gain.
 Two capacity engines are provided: `analytic` converts the power map
 directly to SINR and Shannon capacity, `waveform` actually runs framed
 OFDM through the combiner rig and derives SINR from measured EVM,
-including the possibility of synchronization failure; like the SDR rig,
-it replays one frame per sweep.  Grid points are independent: per-point
-seeds come from (sweep seed, stream, position in mm), so a point's result
-depends neither on evaluation order nor on the grid it was swept in.
+including the possibility of synchronization failure.  Like the SDR rig,
+it replays one frame per sweep, and it draws the receiver noise once per
+sweep too (common random numbers): points then differ by their
+interference alone, and every interference-free point shares one
+receiver pass.  Grid points are independent: per-point draws come from
+`point_keys`, a SplitMix64 hash of (sweep seed, stream, position in mm),
+so a point's result depends neither on evaluation order nor on the grid
+it was swept in.
 
 Sweep results are a `SweepTable` of float64 columns, row i being grid
 point i: x, y, h, reported and raw interference, desired power, EVM,
@@ -255,12 +259,47 @@ def grid_positions(spec: GridSpec, height_m: float) -> np.ndarray:
     return np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs)), np.full(len(xs) * len(ys), height_m)))
 
 
-def _point_seeds(seed: int, stream: int, pos: np.ndarray) -> list:
-    """One SeedSequence per (N, 3) position row, keyed to (seed, stream, position in whole mm)."""
-    mm = np.rint(pos * 1000.0)
-    # zigzag (0, -1, 1 -> 0, 1, 2): SeedSequence takes non-negative ints, and mirrored points stay apart
-    zigzag = np.where(mm >= 0.0, 2.0 * mm, -2.0 * mm - 1.0)
-    return [np.random.SeedSequence([seed, stream, *map(int, row)]) for row in zigzag.tolist()]
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_U64 = (1 << 64) - 1
+# point_keys streams: the pointing error's two Box-Muller uniforms and its azimuth, and the rig's impair seed
+_POINTING_STREAMS = (0, 1, 2)
+_RIG_STREAM = 3
+
+
+def point_keys(seed: int, stream: int, pos: np.ndarray) -> np.ndarray:
+    """One uint64 key per (N, 3) position row, from (seed, stream, position in whole mm).
+
+    The words (the seed's 64-bit limbs, stream, then x, y and h zigzagged)
+    are folded in one at a time: xor into the key, add the golden gamma,
+    mix with the SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA 2014),
+    all in uint64 arithmetic that wraps mod 2**64.  A key depends on its own
+    point only, never on the grid around it.  Positions beyond 2**62 mm
+    share the key of that bound.
+    """
+    mm = np.clip(np.rint(np.asarray(pos, dtype=float) * 1000.0), -(2.0**62), 2.0**62).astype(np.int64)
+    # zigzag (0, -1, 1 -> 0, 1, 2) keeps mirrored points apart
+    zigzag = ((mm << 1) ^ (mm >> 63)).view(np.uint64)
+    limbs = [np.uint64(seed >> s & _U64) for s in range(0, max(seed.bit_length(), 1), 64)]
+    key = np.zeros(len(mm), dtype=np.uint64)
+    for word in (*limbs, np.uint64(stream), *zigzag.T):
+        z = (key ^ word) + _GOLDEN_GAMMA
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        key = z ^ (z >> np.uint64(31))
+    return key
+
+
+def pointing_errors(seed: int, pos: np.ndarray, sigma_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each (N, 3) position row's pointing error: a deviation in degrees and an azimuth in radians.
+
+    The deviation is N(0, sigma_deg), a Box-Muller transform of the
+    uniforms of two key streams; the azimuth is uniform on [0, 2*pi), from
+    a third.
+    """
+    # a float on [0, 1) from each key's top 53 bits
+    u1, u2, u3 = ((point_keys(seed, s, pos) >> np.uint64(11)) * 2.0**-53 for s in _POINTING_STREAMS)
+    theta = sigma_deg * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+    return theta, 2.0 * math.pi * u3
 
 
 def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
@@ -288,10 +327,8 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
         raise ValueError(f"grid point ({x:g}, {y:g}, {h:g}) m is the ground station the interferer aims at")
     aims = np.broadcast_to(gs, pos.shape)
     if scenario.pointing_sigma_deg > 0.0:
-        # each point's aim is off by a deviation, then an azimuth, drawn from its own position-keyed generator
-        rngs = (np.random.default_rng(s) for s in _point_seeds(seed, 0, pos))
-        sigma = scenario.pointing_sigma_deg
-        theta, phi = np.array([(r.normal(0.0, sigma), r.uniform(0.0, 2.0 * math.pi)) for r in rngs]).T
+        # each point's aim is off by a deviation, then an azimuth, drawn from its position's keys
+        theta, phi = pointing_errors(seed, pos, scenario.pointing_sigma_deg)
         aims = pos + perturb_pointing((gs - pos) / distance(pos, gs)[:, None], theta, phi)
     d = distance(pos, RX2_POSITION)
     apart = d > 0.0
@@ -338,16 +375,21 @@ def rig_frame(
 
 
 def measure_link(
-    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise_power_dbm: float, seed
+    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise, seed
 ) -> tuple[np.ndarray, RxResult]:
     """Replay a frame through the combiner rig and measure its EVM.
 
-    seed seeds `impair`; the interferer is left out when it is None or
-    atten_interferer_db is inf.  Returns the impaired samples and the
-    receiver result (EVM only, no decoding).
+    noise is the receiver noise: a power in dBm that `impair` draws from
+    seed, or complex samples, drawn once for many calls, that are added as
+    they are.  seed also draws the interferer's delay; the interferer is
+    left out when it is None or atten_interferer_db is inf.  Returns the
+    impaired samples and the receiver result (EVM only, no decoding).
     """
     _retain_freed_heap()
-    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise_power_dbm, seed)
+    drawn = not isinstance(noise, np.ndarray)
+    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise if drawn else -math.inf, seed)
+    if not drawn:
+        mixed += noise
     return mixed, receive_frame(mixed, frame.params, frame.data_symbols, decode=False)
 
 
@@ -380,16 +422,25 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         table.sync_ok[:] = 1.0
     else:
         params = OfdmParams()
-        # white receiver noise: PSD fixed by the configured floor, integrated
-        # over the full sampled band
-        noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
         frame, interferer = rig_frame(params, FRAME_SYMBOLS, [np.random.SeedSequence([seed, k]) for k in (1, 2)])
-        seeds = _point_seeds(seed, 3, np.column_stack((table.x, table.y, table.h)))
-        for i, (des, intf) in enumerate(zip(table.desired_dbm.tolist(), i_dbm.tolist())):
-            _, rx = measure_link(frame, interferer, -des, -intf, noise_wave_dbm, seeds[i])
-            table.sync_ok[i] = rx.sync_success
+        # common random numbers: the rig's noise source alone, drawn once for
+        # every point; white, its PSD fixed by the configured floor over the
+        # full sampled band
+        noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
+        silence = np.zeros(frame.samples.size)
+        noise = impair(silence, None, 0.0, math.inf, noise_wave_dbm, np.random.SeedSequence([seed, 4]))
+        keys = point_keys(seed, _RIG_STREAM, np.column_stack((table.x, table.y, table.h))).tolist()
+        des, intf = table.desired_dbm.tolist(), i_dbm.tolist()
+        # the desired level is one per sweep, so every interference-free point
+        # sees the same rig input and one pass serves them all
+        clean = np.flatnonzero(i_dbm == -math.inf)
+        passes = ([clean] if clean.size else []) + [[i] for i in np.flatnonzero(i_dbm > -math.inf).tolist()]
+        for rows in passes:
+            i = rows[0]
+            _, rx = measure_link(frame, interferer, -des[i], -intf[i], noise, keys[i])
+            table.sync_ok[rows] = rx.sync_success
             if rx.sync_success:
-                table.evm_rms[i] = rx.evm_rms
+                table.evm_rms[rows] = rx.evm_rms
         sinr = sinr_from_evm(table.evm_rms)  # NaN where sync failed
     table.sinr_db[:] = apply_sinr_ceiling(sinr, scenario.sinr_ceiling_db)
     # a point without sync carries nothing

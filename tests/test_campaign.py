@@ -19,15 +19,18 @@ from uavfd.campaign import (
     grid_positions,
     measure_link,
     mirror_symmetry,
+    point_keys,
+    pointing_errors,
     read_sweep_csv,
     rig_frame,
     run_capacity_sweep,
     run_power_sweep,
     write_sweep_csv,
 )
+from uavfd.antenna import perturb_pointing
 from uavfd.geometry import Position
 from uavfd.metrics import capacity_fd, coverage_fraction, sinr_analytic
-from uavfd.phy import OfdmParams, build_frame
+from uavfd.phy import OfdmParams, build_frame, receive_frame
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -338,8 +341,7 @@ def test_two_seeds_differ_at_some_point(scenarios, seeds):
 def test_mirrored_points_are_keyed_apart(scenarios):
     grid = GridSpec(x_start_m=-4, x_end_m=20, y_start_m=-6, y_end_m=6)
     pos = grid_positions(grid, 0.1)
-    keys = {tuple(s.generate_state(4)) for s in campaign._point_seeds(0, 0, pos)}
-    assert len(keys) == len(pos)
+    assert len(set(point_keys(0, 0, pos).tolist())) == len(pos)
     # at 0 deg the map is mirror symmetric in y; the 2 deg draws at (x, y) and (x, -y) are not
     grid = GridSpec(x_start_m=62, x_end_m=70, y_start_m=-6, y_end_m=6)
     raw = run_power_sweep(_wobbly(scenarios), grid).interference_raw_dbm.reshape(len(grid.x_values()), -1)
@@ -361,6 +363,95 @@ def test_waveform_sweep_builds_two_frames(monkeypatch, scenarios, grid, n):
     monkeypatch.setattr(campaign, "build_frame", counted)
     table = run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid)
     assert len(table) == n and len(calls) == 2
+
+
+def _splitmix64_oracle(z: int) -> int:
+    """SplitMix64's finaliser in Python ints, masked to 64 bits."""
+    m = (1 << 64) - 1
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & m
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & m
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64, 3 * 2**130 + 1])
+def test_point_keys_match_a_python_int_oracle(seed):
+    pos = np.array([[10.0, -2.0, 0.1], [0.0, 0.0, 0.0], [-0.0015, 2.5e-4, 1.8], [1e9, -1e9, 0.1]])
+    limbs = [seed >> s & (2**64 - 1) for s in range(0, max(seed.bit_length(), 1), 64)]
+    want = []
+    for row in pos.tolist():
+        mm = [round(v * 1000.0) for v in row]
+        key = 0
+        for word in (*limbs, 3, *(2 * v if v >= 0 else -2 * v - 1 for v in mm)):
+            key = _splitmix64_oracle(((key ^ word) + 0x9E3779B97F4A7C15) & (2**64 - 1))
+        want.append(key)
+    assert point_keys(seed, 3, pos).tolist() == want
+
+
+def test_point_keys_of_a_million_point_grid_are_distinct():
+    grid = GridSpec(x_start_m=-50, x_end_m=49.9, x_step_m=0.1, y_start_m=-50, y_end_m=49.9, y_step_m=0.1)
+    pos = grid_positions(grid, 1.8)
+    assert len(pos) == MAX_GRID_POINTS
+    assert np.unique(point_keys(0, 0, pos)).size == MAX_GRID_POINTS
+
+
+def test_pointing_errors_from_the_keys_have_rms_sigma():
+    pos = grid_positions(GridSpec(x_start_m=0.5, x_end_m=50, x_step_m=0.5, y_end_m=49.5, y_step_m=0.5), 0.1)
+    assert len(pos) == 10_000
+    theta, phi = pointing_errors(1, pos, 2.0)
+    b = np.tile([1.0, 0.0, 0.0], (len(pos), 1))
+    devs = np.degrees(np.arccos(np.clip(perturb_pointing(b, theta, phi) @ [1.0, 0.0, 0.0], -1.0, 1.0)))
+    # the deviation is N(0, 2 deg), so the RMS angle off boresight is sigma
+    assert math.sqrt(np.mean(devs**2)) == pytest.approx(2.0, abs=0.1)
+    assert abs(np.mean(theta)) < 0.1
+    assert 0.0 <= phi.min() and phi.max() < 2.0 * math.pi
+    assert np.mean(phi) == pytest.approx(math.pi, abs=0.1)
+
+
+@pytest.fixture(scope="module")
+def waveform_default_grid(scenarios, grid):
+    """directional-0.1 on the default grid at seeds 0 and 11: (analytic, waveform) tables."""
+    sc = scenarios["directional-0.1"]
+    return {
+        seed: (run_capacity_sweep(sc, grid, seed), run_capacity_sweep(replace(sc, engine="waveform"), grid, seed))
+        for seed in (0, 11)
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_interference_free_points_share_one_evm(waveform_default_grid, seed):
+    analytic, waveform = waveform_default_grid[seed]
+    clean = analytic.interference_raw_dbm < analytic.interference_dbm  # at the floor: nothing to reproduce
+    assert 300 < np.count_nonzero(clean) < len(waveform)
+    evm = waveform.evm_rms[clean]
+    assert np.isfinite(evm).all() and (waveform.sync_ok[clean] == 1.0).all()
+    assert np.unique(evm.view(np.int64)).size == 1
+    assert not np.isin(waveform.evm_rms[~clean], evm).any()
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_waveform_sweep_matches_analytic_at_every_eligible_point(waveform_default_grid, seed):
+    """Criterion 10's 1.0 dB bound over every synced point with an analytic SINR of 0-25 dB, not a sample."""
+    analytic, waveform = waveform_default_grid[seed]
+    eligible = (waveform.sync_ok == 1.0) & (analytic.sinr_db >= 0.0) & (analytic.sinr_db <= 25.0)
+    assert np.count_nonzero(eligible) > 350
+    assert np.abs(waveform.sinr_db - analytic.sinr_db)[eligible].max() <= 1.0
+    # and a point that fails sync has no analytic SINR to lose
+    assert (analytic.sinr_db[waveform.sync_ok == 0.0] < 0.0).all()
+
+
+def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, scenarios):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return receive_frame(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "receive_frame", counted)
+    grid = GridSpec(x_start_m=10, x_end_m=30, y_end_m=30)
+    table = run_capacity_sweep(replace(scenarios["directional-0.1"], engine="waveform"), grid, seed=2)
+    interfered = np.count_nonzero(table.interference_raw_dbm >= scenarios["directional-0.1"].floor_dbm)
+    assert 0 < interfered < len(table) - 1
+    assert len(calls) == interfered + 1
 
 
 def test_mirror_symmetry(power_dir01):

@@ -404,7 +404,8 @@ def test_config_bad_grid_is_data_error(tmp_path, capsys, line, field):
 # SHA-256 of every CSV `uavfd sweep --engine analytic` writes, recorded before
 # the power map became one array pass: the four presets on the default grid,
 # and directional-0.1 with 2 deg of pointing error at seed 1 (under pointing/;
-# recorded again when the per-point seeds became keyed to position).
+# recorded again when the per-point seeds became keyed to position, and again
+# when the pointing error became a Box-Muller draw from SplitMix64 point keys).
 SWEEP_CSV_SHA256 = {
     "dipole-0.1_capacity.csv": "b664de86efb37a3edb42f37cb5a114ce2b26263c3d763d75e691379c1263b839",
     "dipole-0.1_capacity_mirrored.csv": "651ceeafcb4837459ed888cc7d8ee582de12444c6d24581c9b8e2830aca55e20",
@@ -418,10 +419,10 @@ SWEEP_CSV_SHA256 = {
     "directional-1.8_capacity_mirrored.csv": "f7183a06ace9c2b8d709b5d2e517592414f0ae99b287e3cc038c3b3ae59f6fe8",
     "directional-1.8_power.csv": "a0db4251aa787e9a2b476d094629512104e3bd6c876312ab2b3b4a38373e18fc",
     "directional-1.8_power_mirrored.csv": "20bebb5468e4054b8ae8254b4fc766864335fe6ec9840d936e6723c071e2ad18",
-    "pointing/directional-0.1_capacity.csv": "ee8d172faf88e923d2208b88df58ccb944394789fbc6b2f24de77f630dee1b45",
-    "pointing/directional-0.1_capacity_mirrored.csv": "e63bfff54d944276e5163f302694dbf48b7ab3ef950c042e5f9a91230e542148",
-    "pointing/directional-0.1_power.csv": "6127885caa39acafb8e549034ee2fe34b027e2ab68e711438bf257ae2515898f",
-    "pointing/directional-0.1_power_mirrored.csv": "edeba0ea921d3ff957e31d63d0233d5286aac90600b66e7a3b2760e5515b8db1",
+    "pointing/directional-0.1_capacity.csv": "86565564e1cc97ef6e0e3bc37088d2fedcf7ea7274cdf282b683866cea30eef4",
+    "pointing/directional-0.1_capacity_mirrored.csv": "fc7ff230e01c8ec06d69795f0de4dd76c64ceae9d0e6cb4ed43e68271a89ae90",
+    "pointing/directional-0.1_power.csv": "6f616a902ae62e8daf6e869497db06148026de5e60e2ec6dd5253c373b47a815",
+    "pointing/directional-0.1_power_mirrored.csv": "c036164a5e07bfae2cc1a2a597ad4016a12c0abfd0bc4f85d7525b34a8a5162e",
     "tdd-baseline_capacity.csv": "c628a59d390934b1fe5847537f64d38602562f678eef163a0612975a8507ab09",
     "tdd-baseline_capacity_mirrored.csv": "0da1c2287cb335ae9aa10be46d1a10eaa6108f4cb74831dd6afac34cd41b2570",
     "tdd-baseline_power.csv": "75884c2d81fe8175eb7c58302b7f0f4945c7149c615944a142afb61841515fb1",
@@ -447,15 +448,16 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
 # 20-point grid x 54..62 × y 0..6 (step 2), which holds the point on top of
 # the victim receiver.  Recorded before the sweep results became columns,
 # and the directional-0.1 capacity files again when the rig began to replay
-# one frame per sweep with position-keyed seeds; failed-sync rows have empty
-# EVM and SINR fields.
+# one frame per sweep with position-keyed seeds, and again when it began to
+# add one receiver-noise draw per sweep (common random numbers); failed-sync
+# rows have empty EVM and SINR fields.
 WAVEFORM_CSV_SHA256 = {
     "dipole-0.1_capacity.csv": "0404d3474c8679a8be26309f6da154ba23c78b885d1b4267bb169d28e9272eee",
     "dipole-0.1_capacity_mirrored.csv": "25bcc120ab0db31534a56b3df7e7ab659a37bbf1f50e889f77495ec9f53e47b0",
     "dipole-0.1_power.csv": "e37f8ac2d54b552b9b4c335275ddc9ad03e19376ffbb0d289694e1f9652a4129",
     "dipole-0.1_power_mirrored.csv": "a93376ad4fd9b06132bef78733d8daa099987440d448a1239a100a18c14046b3",
-    "directional-0.1_capacity.csv": "b7d9e943d794853f03d809441f8e5c48837ba5efaf1fd71616a54e703fff5b2c",
-    "directional-0.1_capacity_mirrored.csv": "126380e1f610f093deac1a60483b367241222fcfb1991e21ce9bb62982087c8c",
+    "directional-0.1_capacity.csv": "0981daea562ecad86e9bbe38682b9303e32b20d7aa129903c66f761457385138",
+    "directional-0.1_capacity_mirrored.csv": "538a1e053666c553563b45de4c9ee2b839c1135cfa054a3cd4d04ded1c3fe04a",
     "directional-0.1_power.csv": "0f62b9869a8aa0fcdc6b95c0de6644e231284d74c6cf4913dc185034a090b0ab",
     "directional-0.1_power_mirrored.csv": "d4e2bab84c28e9c398ea67d3d91421ad1e98287cbc9fd0ab21f30d0273ff8657",
 }
