@@ -398,9 +398,11 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
 
     TDD mode yields a position-independent map at the calibrated baseline
     SNR.  FD mode uses the configured engine: `analytic` computes
-    S/(I+N) from the power map; `waveform` replays one frame per sweep
-    through `measure_link` at every point, so SINR comes from measured EVM
-    and a point with failed time synchronization contributes zero capacity.
+    S/(I+N) from the power map; `waveform` replays one frame and one
+    receiver-noise draw per sweep through `measure_link`, once for all
+    interference-free points and once per other point, so SINR comes from
+    measured EVM and a point with failed time synchronization contributes
+    zero capacity.
     The power map's columns are filled in, so the result carries both stages.
     """
     table = run_power_sweep(scenario, grid, seed)
