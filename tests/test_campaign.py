@@ -439,6 +439,15 @@ def test_waveform_sweep_matches_analytic_at_every_eligible_point(waveform_defaul
     assert (analytic.sinr_db[waveform.sync_ok == 0.0] < 0.0).all()
 
 
+def test_receiver_noise_is_drawn_once_per_sweep(scenarios):
+    """With interference far below the noise at every point, each point's own pass gives one EVM."""
+    sc = replace(scenarios["directional-0.1"], engine="waveform", p_u_dbm=-200.0, floor_dbm=-400.0)
+    table = run_capacity_sweep(sc, GridSpec(x_start_m=10, x_end_m=30, x_step_m=10, y_end_m=10, y_step_m=10), seed=4)
+    assert (table.interference_raw_dbm >= sc.floor_dbm).all() and (table.sync_ok == 1.0).all()
+    # a fresh noise draw per point would spread the EVMs by about 1%
+    assert np.ptp(table.evm_rms) <= 1e-9 * table.evm_rms.mean()
+
+
 def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, scenarios):
     calls = []
 
