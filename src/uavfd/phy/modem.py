@@ -296,10 +296,13 @@ def impair(
     if interferer is not None and atten_interferer_db != math.inf:
         i = _as_samples(interferer)
         delay = int(rng.integers(0, i.size))
-        # sample k is i[(k - delay) mod len(i)]: one copy, so scaling in place never touches the caller's array
-        i = np.take(i, np.arange(-delay, d.size - delay), mode="wrap")
-        i *= 10.0 ** (-atten_interferer_db / 20.0)
-        out += i
+        gain = 10.0 ** (-atten_interferer_db / 20.0)
+        # sample k is i[(k - delay) mod len(i)]: added one contiguous run per wrap of the interferer
+        k, src = 0, -delay % i.size
+        while k < d.size:
+            n = min(i.size - src, d.size - k)
+            out[k : k + n] += i[src : src + n] * gain
+            k, src = k + n, 0
 
     if noise_power_dbm != -math.inf:
         # one draw of both quadratures: the same stream as drawing I then Q

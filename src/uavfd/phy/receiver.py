@@ -8,6 +8,15 @@ when the peak stays under the threshold, which is exactly what happens
 when co-channel interference swamps the preamble.  A matched-filter pass
 against the known preamble then refines the coarse peak to the sample.
 
+`receive_frame` first settles what the buffer's length allows.  A coarse
+start past `slack + window` (slack: buffer samples beyond one frame; window:
+the refinement half-width) refines to a start past `slack`, from which the
+frame runs off the buffer.  So it computes the metric on the buffer's head,
+the starts up to `slack + window`, and reports the link down without the
+full-buffer search when the peak there is under the threshold.  Running sums
+over a prefix are bit for bit the prefix of the full ones, so this decides
+exactly what the full search would.
+
 Frequency-offset de-rotation is applied only where it is used: to the
 matched-filter window in `synchronize` (one row) and to the FFT windows
 (CP removed, one row per symbol) in `receive_frame`.  The phasor of such
@@ -44,6 +53,8 @@ class SyncResult:
 @dataclass(frozen=True)
 class RxResult:
     sync_success: bool
+    # peak timing metric over the coarse starts from which the frame can fit in the buffer (0.0 if
+    # there are none); on success it is synchronize's peak over the whole buffer
     sync_metric: float
     evm_rms: float | None = None
     payload: np.ndarray | None = None
@@ -61,6 +72,35 @@ def _derotate(rows: np.ndarray, cfo_subcarriers: float, row_starts: np.ndarray, 
     return out
 
 
+def _refine_window(params: OfdmParams) -> int:
+    """Half-width, in samples, of the matched-filter refinement around the coarse timing peak."""
+    return max(8, params.cp_length // 2)
+
+
+def _timing_metric(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-lag correlation p[d] and timing metric |p[d]|/r[d] at every start d <= x.size - 2*half.
+
+    Both come from running sums, and a running sum over a prefix of x is
+    bit for bit the prefix of the one over all of x, so the metric of a
+    head of the buffer equals the whole buffer's metric at those starts.
+    """
+    cs = np.empty(x.size - half + 1, dtype=np.complex128)  # cs[k] sums the first k terms
+    cs[0] = 0.0
+    prod = np.conj(x[:-half])
+    prod *= x[half:]
+    np.cumsum(prod, out=cs[1:])
+    p = cs[half:] - cs[:-half]  # p[d] = sum over m<half of conj(x[d+m]) x[d+m+half]
+
+    es = np.empty(x.size + 1)
+    es[0] = 0.0
+    np.cumsum(np.abs(x) ** 2, out=es[1:])
+    r = es[2 * half :] - es[half:-half]  # trailing-half energy
+
+    metric = np.abs(p)
+    metric /= np.maximum(r, _ENERGY_EPS, out=r)
+    return p, metric
+
+
 def synchronize(samples, params: OfdmParams) -> SyncResult:
     """Locate the frame start, or fail when no usable preamble is found.
 
@@ -75,15 +115,7 @@ def synchronize(samples, params: OfdmParams) -> SyncResult:
     if x.size < 2 * half + 1:
         return SyncResult(success=False, metric=0.0)
 
-    cs = np.zeros(x.size - half + 1, dtype=np.complex128)  # zero-led: cs[k] sums the first k terms
-    np.cumsum(np.conj(x[:-half]) * x[half:], out=cs[1:])
-    p = cs[half:] - cs[:-half]  # p[d] = sum over m<half of conj(x[d+m]) x[d+m+half]
-
-    es = np.zeros(x.size + 1)
-    np.cumsum(np.abs(x) ** 2, out=es[1:])
-    r = es[2 * half :] - es[half:-half]  # trailing-half energy
-
-    metric = np.abs(p) / np.maximum(r, _ENERGY_EPS)
+    p, metric = _timing_metric(x, half)
     peak = int(np.argmax(metric))
     peak_metric = float(metric[peak])
     if peak_metric < SYNC_THRESHOLD:
@@ -93,7 +125,7 @@ def synchronize(samples, params: OfdmParams) -> SyncResult:
 
     # matched-filter refinement around the coarse peak
     pre = _preamble(params)
-    window = max(8, params.cp_length // 2)
+    window = _refine_window(params)
     lo = max(0, peak - window)
     hi = min(x.size - pre.size, peak + window)
     if hi < lo:
@@ -133,12 +165,22 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
         raise ValueError("reference_symbols must be (n_symbols, n_data)")
     n_symbols = ref.shape[0]
 
+    # the last coarse start that can refine to a start where the whole frame fits in the buffer
+    half = params.fft_size // 2
+    last = x.size - params.frame_samples(n_symbols) + _refine_window(params)
+    if n_symbols == 0 or last < 0:
+        return RxResult(sync_success=False, sync_metric=0.0)
+    metric = _timing_metric(x[: last + 2 * half], half)[1]
+    fit_metric = float(metric[np.argmax(metric)])
+    if fit_metric < SYNC_THRESHOLD:
+        return RxResult(sync_success=False, sync_metric=fit_metric)
+
     sync = synchronize(x, params)
     if not sync.success:
-        return RxResult(sync_success=False, sync_metric=sync.metric)
+        return RxResult(sync_success=False, sync_metric=fit_metric)
     needed = sync.frame_start + n_symbols * params.symbol_samples
-    if needed > x.size or n_symbols == 0:
-        return RxResult(sync_success=False, sync_metric=sync.metric)
+    if needed > x.size:
+        return RxResult(sync_success=False, sync_metric=fit_metric)
 
     # (n_symbols, fft_size) view of the FFT windows, each starting past its CP
     cp = params.cp_length
@@ -178,7 +220,7 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
 
     return RxResult(
         sync_success=True,
-        sync_metric=sync.metric,
+        sync_metric=fit_metric,
         evm_rms=evm,
         payload=payload,
     )

@@ -30,7 +30,7 @@ from uavfd.campaign import (
 from uavfd.antenna import perturb_pointing
 from uavfd.geometry import Position
 from uavfd.metrics import capacity_fd, coverage_fraction, sinr_analytic
-from uavfd.phy import OfdmParams, build_frame, receive_frame
+from uavfd.phy import OfdmParams, build_frame, receive_frame, receiver, synchronize
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -363,6 +363,21 @@ def test_waveform_sweep_builds_two_frames(monkeypatch, scenarios, grid, n):
     monkeypatch.setattr(campaign, "build_frame", counted)
     table = run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid)
     assert len(table) == n and len(calls) == 2
+
+
+def test_dipole_points_fail_sync_without_the_full_buffer_search(monkeypatch, scenarios, grid):
+    # the rig's buffer is one frame long: every dipole point's timing metric stays under the
+    # threshold on the starts where the frame fits, so the whole-buffer search never runs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synchronize(*args, **kwargs)
+
+    monkeypatch.setattr(receiver, "synchronize", counted)
+    table = run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid)
+    assert len(table) == 496 and not table.sync_ok.any()
+    assert len(calls) == 0
 
 
 def _splitmix64_oracle(z: int) -> int:

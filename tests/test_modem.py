@@ -4,10 +4,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavfd.phy import (
+    SYNC_THRESHOLD,
     OfdmParams,
     build_frame,
     demap_16qam,
@@ -20,7 +21,7 @@ from uavfd.phy import (
     write_iq,
 )
 from uavfd.phy.modem import _QAM_SCALE, _pilot_matrix, _preamble, _subcarrier_maps
-from uavfd.phy.receiver import _derotate
+from uavfd.phy.receiver import _derotate, _refine_window, _timing_metric
 
 P = OfdmParams()
 
@@ -269,19 +270,35 @@ def _reference_impair(desired, interferer, atten_desired_db, atten_interferer_db
 
 _RIG_DESIRED = rand_frame(P, 2, seed=31)
 _RIG_STREAM = rand_frame(P, 5, seed=32, pilot_stream=1).body_stream()
+_RIG_EXACT = _RIG_DESIRED.samples.size
+_RIG_SHORT = _RIG_EXACT // 3 - 1  # under a third of the desired frame: the interferer wraps three or more times
+
+
+def _seed_drawing_delay(length, delay):
+    """The first seed from which impair draws this delay for an interferer of this length."""
+    return next(s for s in itertools.count() if np.random.default_rng(s).integers(0, length) == delay)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     length=st.one_of(
-        st.integers(1, _RIG_DESIRED.samples.size - 1),
-        st.just(_RIG_DESIRED.samples.size),
-        st.integers(_RIG_DESIRED.samples.size + 1, _RIG_STREAM.size),
+        st.integers(1, _RIG_SHORT),
+        st.integers(1, _RIG_EXACT - 1),
+        st.just(_RIG_EXACT),
+        st.integers(_RIG_EXACT + 1, _RIG_STREAM.size),
     ),
 )
+@example(seed=_seed_drawing_delay(_RIG_SHORT, 0), length=_RIG_SHORT)
+@example(seed=_seed_drawing_delay(_RIG_SHORT, _RIG_SHORT - 1), length=_RIG_SHORT)
+@example(seed=_seed_drawing_delay(_RIG_EXACT, 0), length=_RIG_EXACT)
+@example(seed=_seed_drawing_delay(_RIG_EXACT, _RIG_EXACT - 1), length=_RIG_EXACT)
+@example(seed=_seed_drawing_delay(_RIG_STREAM.size, 0), length=_RIG_STREAM.size)
+@example(seed=_seed_drawing_delay(_RIG_STREAM.size, _RIG_STREAM.size - 1), length=_RIG_STREAM.size)
+@example(seed=_seed_drawing_delay(7, 6), length=7)
 def test_impair_matches_roll_and_tile_reference(seed, length):
-    # interferers shorter than the desired frame (repeated), as long, and longer (cut)
+    # interferers shorter than the desired frame (repeated), as long, and longer (cut); the examples
+    # pin the first and the last delay
     interferer = _RIG_STREAM[:length]
     out = impair(_RIG_DESIRED, interferer, 3.0, 10.0, -30.0, seed=seed)
     ref = _reference_impair(_RIG_DESIRED.samples, interferer, 3.0, 10.0, -30.0, seed)
@@ -429,6 +446,60 @@ def test_prepended_offset_shifts_sync_only(k, seed):
     assert base.sync_success and moved.sync_success
     assert synchronize(moved_x, P).frame_start == synchronize(mixed, P).frame_start + k
     assert moved.evm_rms == pytest.approx(base.evm_rms, rel=1e-12)
+
+
+# ----------------------------------------------------------------- sync gate
+
+_GATE_FRAME = rand_frame(P, 2, seed=33)
+_GATE_INTERFERER = rand_frame(P, 2, seed=34, pilot_stream=1).body_stream()
+
+
+def _gate_buffer(shape, rng):
+    """An impaired frame, mostly near the sync threshold, in a buffer one frame long, padded, or short."""
+    sir = rng.uniform(-4.0, 0.0) if rng.random() < 0.8 else rng.uniform(-20.0, 20.0)
+    mixed = impair(_GATE_FRAME, _GATE_INTERFERER, 0.0, sir, -30.0, seed=int(rng.integers(2**63)))
+    lead = np.zeros(int(rng.integers(0, 300)), complex)
+    if shape == "exact":
+        return mixed
+    if shape == "padded":
+        return np.r_[lead, mixed, np.zeros(int(rng.integers(1, 300)), complex)]
+    return np.r_[lead, mixed][: mixed.size - int(rng.integers(1, 400))]
+
+
+@pytest.mark.parametrize("shape", ["exact", "padded", "short"])
+def test_receive_frame_syncs_exactly_when_the_full_search_fits_a_frame(shape):
+    n_symbols = _GATE_FRAME.data_symbols.shape[0]
+    rng = np.random.default_rng(["exact", "padded", "short"].index(shape))
+    outcomes, near = set(), 0
+    for _ in range(150):
+        x = _gate_buffer(shape, rng)
+        sync = synchronize(x, P)
+        fits = sync.success and sync.frame_start + n_symbols * P.symbol_samples <= x.size
+        rx = receive_frame(x, P, _GATE_FRAME.data_symbols, decode=False)
+        assert rx.sync_success == fits
+        if fits:
+            assert rx.sync_metric == sync.metric
+        outcomes.add((sync.success, fits))
+        near += abs(sync.metric - SYNC_THRESHOLD) < 0.05
+    assert near >= 30
+    # every outcome the buffer shape allows occurs: a short buffer never fits the frame, even
+    # where synchronize finds its preamble
+    assert outcomes == ({(True, False), (False, False)} if shape == "short" else {(True, True), (False, False)})
+
+
+@pytest.mark.parametrize("n_symbols", [2, 28])
+@pytest.mark.parametrize("slack", [0, 1, 777, 40_000])
+def test_head_timing_metric_is_bit_identical_to_the_full_buffer_one(n_symbols, slack):
+    rng = np.random.default_rng(slack + n_symbols)
+    size = P.frame_samples(n_symbols) + slack
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    half = P.fft_size // 2
+    last = slack + _refine_window(P)  # the last coarse start from which the frame can still fit
+    p, metric = _timing_metric(x, half)
+    head_p, head_metric = _timing_metric(x[: last + 2 * half], half)
+    assert head_metric.size == last + 1
+    assert np.array_equal(head_p.view(np.int64), p[: last + 1].view(np.int64))
+    assert np.array_equal(head_metric.view(np.int64), metric[: last + 1].view(np.int64))
 
 
 # ----------------------------------------------------------------- receive
