@@ -8,14 +8,12 @@ when the peak stays under the threshold, which is exactly what happens
 when co-channel interference swamps the preamble.  A matched-filter pass
 against the known preamble then refines the coarse peak to the sample.
 
-`receive_frame` first settles what the buffer's length allows.  A coarse
-start past `slack + window` (slack: buffer samples beyond one frame; window:
-the refinement half-width) refines to a start past `slack`, from which the
-frame runs off the buffer.  So it computes the metric on the buffer's head,
-the starts up to `slack + window`, and reports the link down without the
-full-buffer search when the peak there is under the threshold.  Running sums
-over a prefix are bit for bit the prefix of the full ones, so this decides
-exactly what the full search would.
+`receive_frame` first searches only the coarse starts from which the frame
+can still fit: up to `slack + window`, the buffer's length beyond one frame
+plus the refinement half-width, since a later peak refines past `slack`.  If
+the metric stays under the threshold there, the link is down without the
+full-buffer search.  Running sums over a prefix are bit for bit the prefix
+of the full ones, so this decides exactly what the full search would.
 
 Frequency-offset de-rotation is applied only where it is used: to the
 matched-filter window in `synchronize` (one row) and to the FFT windows

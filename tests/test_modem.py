@@ -452,6 +452,7 @@ def test_prepended_offset_shifts_sync_only(k, seed):
 
 _GATE_FRAME = rand_frame(P, 2, seed=33)
 _GATE_INTERFERER = rand_frame(P, 2, seed=34, pilot_stream=1).body_stream()
+_GATE_SHAPES = ("exact", "padded", "short")
 
 
 def _gate_buffer(shape, rng):
@@ -466,10 +467,10 @@ def _gate_buffer(shape, rng):
     return np.r_[lead, mixed][: mixed.size - int(rng.integers(1, 400))]
 
 
-@pytest.mark.parametrize("shape", ["exact", "padded", "short"])
+@pytest.mark.parametrize("shape", _GATE_SHAPES)
 def test_receive_frame_syncs_exactly_when_the_full_search_fits_a_frame(shape):
     n_symbols = _GATE_FRAME.data_symbols.shape[0]
-    rng = np.random.default_rng(["exact", "padded", "short"].index(shape))
+    rng = np.random.default_rng(_GATE_SHAPES.index(shape))
     outcomes, near = set(), 0
     for _ in range(150):
         x = _gate_buffer(shape, rng)
