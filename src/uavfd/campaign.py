@@ -19,12 +19,12 @@ directly to SINR and Shannon capacity, `waveform` actually runs framed
 OFDM through the combiner rig and derives SINR from measured EVM,
 including the possibility of synchronization failure.  Like the SDR rig,
 it replays one frame per sweep, and it draws the receiver noise once per
-sweep too (common random numbers): points then differ by their
-interference alone, and every interference-free point shares one
-receiver pass.  Grid points are independent: per-point draws come from
-`point_keys`, a SplitMix64 hash of (sweep seed, stream, position in mm),
-so a point's result depends neither on evaluation order nor on the grid
-it was swept in.
+sweep too (common random numbers): the received desired signal, frame
+plus noise, is formed once, each point adds only its interferer, and
+every interference-free point shares one receiver pass.  Grid points are
+independent: per-point draws come from `point_keys`, a SplitMix64 hash of
+(sweep seed, stream, position in mm), so a point's result depends neither
+on evaluation order nor on the grid it was swept in.
 
 Sweep results are a `SweepTable` of float64 columns, row i being grid
 point i: x, y, h, reported and raw interference, desired power, EVM,
@@ -375,21 +375,18 @@ def rig_frame(
 
 
 def measure_link(
-    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise, seed
+    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise_dbm: float, seed
 ) -> tuple[np.ndarray, RxResult]:
     """Replay a frame through the combiner rig and measure its EVM.
 
-    noise is the receiver noise: a power in dBm that `impair` draws from
-    seed, or complex samples, drawn once for many calls, that are added as
-    they are.  seed also draws the interferer's delay; the interferer is
-    left out when it is None or atten_interferer_db is inf.  Returns the
-    impaired samples and the receiver result (EVM only, no decoding).
+    `impair` attenuates the frame and the interferer and adds receiver
+    noise of power noise_dbm (-inf for none), drawing the interferer's delay
+    and then the noise from seed; the interferer is left out when it is None
+    or atten_interferer_db is inf.  Returns the impaired samples and the
+    receiver result (EVM only, no decoding).
     """
     _retain_freed_heap()
-    drawn = not isinstance(noise, np.ndarray)
-    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise if drawn else -math.inf, seed)
-    if not drawn:
-        mixed += noise
+    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise_dbm, seed)
     return mixed, receive_frame(mixed, frame.params, frame.data_symbols, decode=False)
 
 
@@ -398,11 +395,12 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
 
     TDD mode yields a position-independent map at the calibrated baseline
     SNR.  FD mode uses the configured engine: `analytic` computes
-    S/(I+N) from the power map; `waveform` replays one frame and one
-    receiver-noise draw per sweep through `measure_link`, once for all
-    interference-free points and once per other point, so SINR comes from
-    measured EVM and a point with failed time synchronization contributes
-    zero capacity.
+    S/(I+N) from the power map; `waveform` forms the received desired
+    signal (one frame at the desired level plus one receiver-noise draw)
+    once per sweep and passes it through `measure_link`, which adds only the
+    interferer: once for all interference-free points and once per other
+    point.  SINR comes from measured EVM, and a point with failed time
+    synchronization contributes zero capacity.
     The power map's columns are filled in, so the result carries both stages.
     """
     table = run_power_sweep(scenario, grid, seed)
@@ -425,21 +423,22 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
     else:
         params = OfdmParams()
         frame, interferer = rig_frame(params, FRAME_SYMBOLS, [np.random.SeedSequence([seed, k]) for k in (1, 2)])
-        # common random numbers: the rig's noise source alone, drawn once for
-        # every point; white, its PSD fixed by the configured floor over the
-        # full sampled band
+        # common random numbers: the desired level is one per sweep and the
+        # receiver noise is drawn once for every point, so the received desired
+        # signal is formed once; the noise is white, its PSD fixed by the
+        # configured floor over the full sampled band
         noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
-        silence = np.zeros(frame.samples.size)
-        noise = impair(silence, None, 0.0, math.inf, noise_wave_dbm, np.random.SeedSequence([seed, 4]))
+        noise_seed = np.random.SeedSequence([seed, 4])
+        desired = impair(frame, None, -table.desired_dbm[0].item(), math.inf, noise_wave_dbm, noise_seed)
+        received = replace(frame, samples=desired)
         keys = point_keys(seed, _RIG_STREAM, np.column_stack((table.x, table.y, table.h))).tolist()
-        des, intf = table.desired_dbm.tolist(), i_dbm.tolist()
-        # the desired level is one per sweep, so every interference-free point
-        # sees the same rig input and one pass serves them all
+        intf = i_dbm.tolist()
+        # every interference-free point sees the same rig input, so one pass serves them all
         clean = np.flatnonzero(i_dbm == -math.inf)
         passes = ([clean] if clean.size else []) + [[i] for i in np.flatnonzero(i_dbm > -math.inf).tolist()]
         for rows in passes:
             i = rows[0]
-            _, rx = measure_link(frame, interferer, -des[i], -intf[i], noise, keys[i])
+            _, rx = measure_link(received, interferer, 0.0, -intf[i], -math.inf, keys[i])
             table.sync_ok[rows] = rx.sync_success
             if rx.sync_success:
                 table.evm_rms[rows] = rx.evm_rms

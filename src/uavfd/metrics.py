@@ -6,7 +6,6 @@ band continuously; the TDD baseline pays its duty cycle and guard-interval
 overhead but sees no co-channel interference.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +74,7 @@ def capacity_tdd(cfg: CapacityConfig, snr_db: float) -> float:
     holds the channel for TDD_DUTY of the time and loses TDD_GUARD_OVERHEAD
     of that to switching guard intervals.
     """
-    factor = TDD_DUTY * (1.0 - TDD_GUARD_OVERHEAD)
-    return factor * cfg.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    return TDD_DUTY * (1.0 - TDD_GUARD_OVERHEAD) * capacity_fd(cfg, snr_db)
 
 
 def cdf(values) -> list[tuple[float, float]]:

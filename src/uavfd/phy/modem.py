@@ -76,10 +76,8 @@ class OfdmParams:
         """Payload size that exactly fills n_symbols after FEC."""
         if n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
-        coded = n_symbols * self.n_data_subcarriers * BITS_PER_SYMBOL
-        if coded % 2 != 0:
-            raise ValueError("odd coded bit count; adjust subcarrier layout")
-        n = coded // 2 - TAIL_BITS
+        # rate 1/2: 4 coded bits per data subcarrier make the count even
+        n = n_symbols * self.n_data_subcarriers * BITS_PER_SYMBOL // 2 - TAIL_BITS
         if n <= 0:
             raise ValueError("frame too small to carry the FEC tail")
         return n

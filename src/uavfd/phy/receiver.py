@@ -110,7 +110,7 @@ def synchronize(samples, params: OfdmParams) -> SyncResult:
     """
     x = _as_samples(samples)
     half = params.fft_size // 2
-    if x.size < 2 * half + 1:
+    if x.size < 2 * half:  # no start d with d + 2*half <= x.size
         return SyncResult(success=False, metric=0.0)
 
     p, metric = _timing_metric(x, half)
@@ -121,20 +121,19 @@ def synchronize(samples, params: OfdmParams) -> SyncResult:
 
     cfo_coarse = float(np.angle(p[peak]) / math.pi)
 
-    # matched-filter refinement around the coarse peak
+    # matched-filter refinement around the coarse peak; peak <= x.size - pre.size, the last
+    # start of the metric, so lo <= peak <= hi
     pre = _preamble(params)
     window = _refine_window(params)
     lo = max(0, peak - window)
     hi = min(x.size - pre.size, peak + window)
-    if hi < lo:
-        return SyncResult(success=False, metric=peak_metric)
     seg = _derotate(x[None, lo : hi + pre.size], cfo_coarse, [lo], params.fft_size)[0]
     xc = np.abs(np.correlate(seg, pre, mode="valid"))
     start = lo + int(np.argmax(xc))
 
-    # the half-lag phase at the refined start is the cleanest offset estimate;
-    # at the exact start of a clean preamble it is identically zero
-    cfo_sc = float(np.angle(p[start]) / math.pi) if start < p.size else cfo_coarse
+    # the half-lag phase at the refined start (start <= hi, a start of p) is the
+    # cleanest offset estimate; at the exact start of a clean preamble it is identically zero
+    cfo_sc = float(np.angle(p[start]) / math.pi)
 
     return SyncResult(
         success=True,
@@ -173,9 +172,8 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
     if fit_metric < SYNC_THRESHOLD:
         return RxResult(sync_success=False, sync_metric=fit_metric)
 
+    # the head metric is a prefix of the full one, so synchronize has starts and its peak passes too
     sync = synchronize(x, params)
-    if not sync.success:
-        return RxResult(sync_success=False, sync_metric=fit_metric)
     needed = sync.frame_start + n_symbols * params.symbol_samples
     if needed > x.size:
         return RxResult(sync_success=False, sync_metric=fit_metric)

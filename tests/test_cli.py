@@ -463,14 +463,36 @@ WAVEFORM_CSV_SHA256 = {
 }
 
 
+# SHA-256 of the capacity CSVs `uavfd sweep --engine waveform` writes for the
+# directional presets on the default 496-point grid, by seed.  Recorded before
+# the sweep began to form its received desired signal (frame plus receiver
+# noise) once per sweep instead of at every point.
+DEFAULT_GRID_CAPACITY_CSV_SHA256 = {
+    0: {
+        "directional-0.1_capacity.csv": "72f210e664ccafc21271212dd2637af8cf165f6059e73e795a5ce46557ed6c80",
+        "directional-1.8_capacity.csv": "75293825ac07158210688e536a94f43f1b1d3be54bf12b83b09fad9312c00f35",
+    },
+    11: {
+        "directional-0.1_capacity.csv": "ee5de0b541cf237a6e795ecbbff15ca9b67ff0e062c3296bea4e7685f0a64225",
+        "directional-1.8_capacity.csv": "c5c66c01a9bdd2cf31cddcb3e7877a6016891b3af2914e270e7016465f7820fb",
+    },
+}
+
+
 def test_waveform_sweep_csv_bytes_are_pinned(tmp_path, capsys):
-    for preset in ("directional-0.1", "dipole-0.1"):
-        cfg = tmp_path / f"{preset}.cfg"
-        cfg.write_text(f"scenario = {preset}\ngrid.x_start = 54\ngrid.x_end = 62\ngrid.y_end = 6\nseed = 0\n")
-        out = tmp_path / "out"
-        assert run(["sweep", "--config", str(cfg), "--engine", "waveform", "--out", str(out)], capsys)[0] == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").glob("*.csv")}
-    assert digests == WAVEFORM_CSV_SHA256
+    small_grid = "grid.x_start = 54\ngrid.x_end = 62\ngrid.y_end = 6\n"
+    cases = [
+        (("directional-0.1", "dipole-0.1"), small_grid, "*.csv", {0: WAVEFORM_CSV_SHA256}),
+        (("directional-0.1", "directional-1.8"), "", "*_capacity.csv", DEFAULT_GRID_CAPACITY_CSV_SHA256),
+    ]
+    for k, (presets, grid, pattern, pinned) in enumerate(cases):
+        for seed, want in pinned.items():
+            out = tmp_path / f"case{k}-seed{seed}"
+            for preset in presets:
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text(f"scenario = {preset}\n{grid}seed = {seed}\n")
+                assert run(["sweep", "--config", str(cfg), "--engine", "waveform", "--out", str(out)], capsys)[0] == 0
+            assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob(pattern)} == want
 
 
 def test_sweep_waveform_engine_small_grid(tmp_path, capsys):

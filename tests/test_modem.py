@@ -448,6 +448,17 @@ def test_prepended_offset_shifts_sync_only(k, seed):
     assert moved.evm_rms == pytest.approx(base.evm_rms, rel=1e-12)
 
 
+def test_sync_finds_a_preamble_at_the_last_start_of_the_buffer():
+    # a preamble ending the buffer puts the coarse peak on the metric's last start, x.size - fft_size:
+    # the edge of the refinement window and of the half-lag correlation read for the offset estimate
+    for lead in range(400):
+        x = np.r_[np.zeros(lead, complex), _preamble(P)]
+        assert int(np.argmax(_timing_metric(x, P.fft_size // 2)[1])) == x.size - P.fft_size
+        s = synchronize(x, P)
+        assert s.success
+        assert s.frame_start - P.preamble_samples == x.size - P.fft_size
+
+
 # ----------------------------------------------------------------- sync gate
 
 _GATE_FRAME = rand_frame(P, 2, seed=33)
