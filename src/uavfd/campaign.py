@@ -21,7 +21,10 @@ including the possibility of synchronization failure.  Like the SDR rig,
 it replays one frame per sweep, and it draws the receiver noise once per
 sweep too (common random numbers): the received desired signal, frame
 plus noise, is formed once, each point adds only its interferer, and
-every interference-free point shares one receiver pass.  Grid points are
+every interference-free point shares one receiver pass.  An interfered
+point first forms only the head the receiver's sync gate reads (1,088 of
+33,280 samples) and decides the gate on it; only past the gate is its
+full buffer formed and received.  Grid points are
 independent: per-point draws come from `point_keys`, a SplitMix64 hash of
 (sweep seed, stream, position in mm), so a point's result depends neither
 on evaluation order nor on the grid it was swept in.
@@ -53,7 +56,8 @@ from .metrics import (
     sinr_analytic,
     sinr_from_evm,
 )
-from .phy import FrameBuffer, OfdmParams, RxResult, build_frame, impair, receive_frame
+from .phy import SYNC_THRESHOLD, FrameBuffer, OfdmParams, RxResult, build_frame, gate_length, gate_metric
+from .phy import impair, receive_frame
 from .propagation import NodeConfig, fspl_db, link_gain_db, noise_floor_dbm
 
 GS_POSITION = Position(0.0, 0.0, 0.1)
@@ -399,8 +403,8 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
     signal (one frame at the desired level plus one receiver-noise draw)
     once per sweep and passes it through `measure_link`, which adds only the
     interferer: once for all interference-free points and once per other
-    point.  SINR comes from measured EVM, and a point with failed time
-    synchronization contributes zero capacity.
+    point whose head passes the sync gate.  SINR comes from measured EVM,
+    and a point with failed time synchronization contributes zero capacity.
     The power map's columns are filled in, so the result carries both stages.
     """
     table = run_power_sweep(scenario, grid, seed)
@@ -433,11 +437,19 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         received = replace(frame, samples=desired)
         keys = point_keys(seed, _RIG_STREAM, np.column_stack((table.x, table.y, table.h))).tolist()
         intf = i_dbm.tolist()
+        head = gate_length(desired.size, params, FRAME_SYMBOLS)
         # every interference-free point sees the same rig input, so one pass serves them all
         clean = np.flatnonzero(i_dbm == -math.inf)
         passes = ([clean] if clean.size else []) + [[i] for i in np.flatnonzero(i_dbm > -math.inf).tolist()]
         for rows in passes:
             i = rows[0]
+            # no noise is drawn per point and the delay draw ignores the length, so impair's output over
+            # the head is the head of its output: a point whose head fails the sync gate stops there
+            if intf[i] > -math.inf:
+                mixed_head = impair(desired[:head], interferer, 0.0, -intf[i], -math.inf, keys[i])
+                if gate_metric(mixed_head, params) < SYNC_THRESHOLD:
+                    table.sync_ok[i] = 0.0
+                    continue
             _, rx = measure_link(received, interferer, 0.0, -intf[i], -math.inf, keys[i])
             table.sync_ok[rows] = rx.sync_success
             if rx.sync_success:

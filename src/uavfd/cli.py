@@ -326,6 +326,16 @@ def _float_or_inf(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):  # nothing compares with NaN: no point would ever be covered or feasible
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uavfd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -340,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cdf", help="empirical CDF of interference power from a sweep CSV")
     p.add_argument("sweep_csv")
-    p.add_argument("--threshold", type=float, default=-95.0, help="coverage threshold in dBm")
+    p.add_argument("--threshold", type=_threshold, default=-95.0, help="coverage threshold in dBm")
     p.add_argument("--out", help="CDF CSV path")
     p.set_defaults(func=_cmd_cdf)
 
@@ -370,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=ObjectiveKind.MIN_INTERFERENCE.value,
         help="min-interference | max-capacity",
     )
-    p.add_argument("--threshold", type=float, default=-95.0)
+    p.add_argument("--threshold", type=_threshold, default=-95.0)
     p.add_argument("--out", help="region CSV path")
     p.set_defaults(func=_cmd_place)
 

@@ -11,7 +11,7 @@ from .modem import (
     noise_power_for_subcarrier_snr,
     write_iq,
 )
-from .receiver import RxResult, SYNC_THRESHOLD, SyncResult, receive_frame, synchronize
+from .receiver import RxResult, SYNC_THRESHOLD, SyncResult, gate_length, gate_metric, receive_frame, synchronize
 
 __all__ = [
     "FrameBuffer",
@@ -24,6 +24,8 @@ __all__ = [
     "demap_16qam",
     "fec_decode",
     "fec_encode",
+    "gate_length",
+    "gate_metric",
     "impair",
     "map_16qam",
     "noise_power_for_subcarrier_snr",

@@ -14,6 +14,9 @@ plus the refinement half-width, since a later peak refines past `slack`.  If
 the metric stays under the threshold there, the link is down without the
 full-buffer search.  Running sums over a prefix are bit for bit the prefix
 of the full ones, so this decides exactly what the full search would.
+`gate_length` and `gate_metric` are that gate; the waveform sweep calls
+them on each interfered point's head, 1,088 samples of a one-frame buffer,
+and forms the point's full buffer only when the head passes.
 
 Frequency-offset de-rotation is applied only where it is used: to the
 matched-filter window in `synchronize` (one row) and to the FFT windows
@@ -99,6 +102,23 @@ def _timing_metric(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     return p, metric
 
 
+def gate_length(size: int, params: OfdmParams, n_symbols: int) -> int:
+    """Samples the sync gate reads of a size-sample buffer holding an n_symbols frame.
+
+    The gate's coarse starts run up to `last`: the buffer's length beyond
+    one frame plus the refinement half-width, since a later peak refines
+    past where the frame fits.  Their metric reads `last + fft_size`
+    samples; below fft_size (last < 0) there is no such start.
+    """
+    return size - params.frame_samples(n_symbols) + _refine_window(params) + params.fft_size
+
+
+def gate_metric(head: np.ndarray, params: OfdmParams) -> float:
+    """The sync gate's peak timing metric over every start of a head of at least fft_size samples."""
+    metric = _timing_metric(head, params.fft_size // 2)[1]
+    return float(metric[np.argmax(metric)])
+
+
 def synchronize(samples, params: OfdmParams) -> SyncResult:
     """Locate the frame start, or fail when no usable preamble is found.
 
@@ -162,13 +182,10 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
         raise ValueError("reference_symbols must be (n_symbols, n_data)")
     n_symbols = ref.shape[0]
 
-    # the last coarse start that can refine to a start where the whole frame fits in the buffer
-    half = params.fft_size // 2
-    last = x.size - params.frame_samples(n_symbols) + _refine_window(params)
-    if n_symbols == 0 or last < 0:
+    head = gate_length(x.size, params, n_symbols)
+    if n_symbols == 0 or head < params.fft_size:
         return RxResult(sync_success=False, sync_metric=0.0)
-    metric = _timing_metric(x[: last + 2 * half], half)[1]
-    fit_metric = float(metric[np.argmax(metric)])
+    fit_metric = gate_metric(x[:head], params)
     if fit_metric < SYNC_THRESHOLD:
         return RxResult(sync_success=False, sync_metric=fit_metric)
 

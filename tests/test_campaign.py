@@ -30,7 +30,17 @@ from uavfd.campaign import (
 from uavfd.antenna import perturb_pointing
 from uavfd.geometry import Position
 from uavfd.metrics import capacity_fd, coverage_fraction, sinr_analytic
-from uavfd.phy import OfdmParams, build_frame, receive_frame, receiver, synchronize
+from uavfd.phy import (
+    SYNC_THRESHOLD,
+    OfdmParams,
+    build_frame,
+    gate_length,
+    gate_metric,
+    impair,
+    receive_frame,
+    receiver,
+    synchronize,
+)
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -471,11 +481,49 @@ def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, sce
         return receive_frame(*args, **kwargs)
 
     monkeypatch.setattr(campaign, "receive_frame", counted)
+    metrics = []
+
+    def gate_counted(*args, **kwargs):
+        metrics.append(gate_metric(*args, **kwargs))
+        return metrics[-1]
+
+    monkeypatch.setattr(campaign, "gate_metric", gate_counted)
     grid = GridSpec(x_start_m=10, x_end_m=30, y_end_m=30)
     table = run_capacity_sweep(replace(scenarios["directional-0.1"], engine="waveform"), grid, seed=2)
     interfered = np.count_nonzero(table.interference_raw_dbm >= scenarios["directional-0.1"].floor_dbm)
     assert 0 < interfered < len(table) - 1
-    assert len(calls) == interfered + 1
+    # each interfered point's head meets the gate once; only those that pass get a receiver pass
+    passed = sum(m >= SYNC_THRESHOLD for m in metrics)
+    assert len(metrics) == interfered and 0 < passed < interfered
+    assert len(calls) == passed + 1
+
+
+@pytest.mark.parametrize("name,full,heads", [("dipole-0.1", 1, 496), ("directional-0.1", 83, 140)])
+def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenarios, grid, name, full, heads):
+    # the full-length calls are the received desired signal, the interference-free pass and each
+    # interfered point whose head passes the gate; every interfered point forms its head
+    sizes = []
+
+    def counted(desired, *args, **kwargs):
+        sizes.append(np.size(getattr(desired, "samples", desired)))
+        return impair(desired, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "impair", counted)
+    run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed=0)
+    frame = OfdmParams().frame_samples(campaign.FRAME_SYMBOLS)
+    assert gate_length(frame, OfdmParams(), campaign.FRAME_SYMBOLS) == 1088
+    assert (sizes.count(frame), sizes.count(1088), len(sizes)) == (full, heads, full + heads)
+
+
+@pytest.mark.parametrize("name,seed", [("dipole-0.1", 3), ("directional-0.1", 3), ("directional-1.8", 11)])
+def test_head_gate_changes_no_row(monkeypatch, scenarios, grid, name, seed):
+    # with the head gate always passed, every interfered point takes the full receiver pass
+    scenario = replace(scenarios[name], engine="waveform")
+    gated = run_capacity_sweep(scenario, grid, seed)
+    monkeypatch.setattr(campaign, "gate_metric", lambda head, params: math.inf)
+    full = run_capacity_sweep(scenario, grid, seed)
+    for a, b in zip(gated.columns(), full.columns()):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_mirror_symmetry(power_dir01):

@@ -229,6 +229,26 @@ def test_plan_zero_uavs_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["cdf", "place"])
+@pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "cold"])
+def test_nan_threshold_is_usage_error(tmp_path, capsys, command, value):
+    # every comparison with NaN is false: cdf printed coverage=0 and place found no feasible position
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    code, out, err = run([command, str(tmp_path / "directional-0.1_power.csv"), f"--threshold={value}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --threshold: expected a number, got {value!r}\n"
+    assert not any(f.stem.endswith(("_cdf", "_region")) for f in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,want", [("cdf", "coverage=1.000000 threshold_dbm=inf"), ("place", "(496 feasible")])
+def test_infinite_threshold_covers_every_point(tmp_path, capsys, command, want):
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    code, out, _ = run([command, str(tmp_path / "directional-0.1_power.csv"), "--threshold", "inf"], capsys)
+    assert code == 0
+    assert want in out
+
+
 def test_place_min_interference(tmp_path, capsys):
     run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
     code, out, _ = run(

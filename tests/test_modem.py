@@ -13,6 +13,8 @@ from uavfd.phy import (
     build_frame,
     demap_16qam,
     fec_encode,
+    gate_length,
+    gate_metric,
     impair,
     map_16qam,
     noise_power_for_subcarrier_snr,
@@ -305,6 +307,33 @@ def test_impair_matches_roll_and_tile_reference(seed, length):
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
+_HEAD = gate_length(_RIG_EXACT, P, 2)  # what the sync gate reads of a one-frame buffer
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    length=st.integers(1, _RIG_STREAM.size),
+    n=st.integers(0, _RIG_EXACT),
+    atten=st.floats(-40.0, 40.0),
+)
+@example(seed=_seed_drawing_delay(_HEAD // 3, 0), length=_HEAD // 3, n=_HEAD, atten=10.0)
+@example(seed=_seed_drawing_delay(_HEAD // 3, _HEAD // 3 - 1), length=_HEAD // 3, n=_HEAD, atten=10.0)
+@example(seed=_seed_drawing_delay(_HEAD, 0), length=_HEAD, n=_HEAD, atten=10.0)
+@example(seed=_seed_drawing_delay(_HEAD, _HEAD - 1), length=_HEAD, n=_HEAD, atten=10.0)
+@example(seed=_seed_drawing_delay(_RIG_STREAM.size, 0), length=_RIG_STREAM.size, n=_HEAD, atten=10.0)
+@example(
+    seed=_seed_drawing_delay(_RIG_STREAM.size, _RIG_STREAM.size - 1), length=_RIG_STREAM.size, n=_HEAD, atten=10.0
+)
+def test_impair_of_a_head_is_the_head_of_impair(seed, length, n, atten):
+    # without noise the only draw is the delay, which ignores the desired length, and each output
+    # sample reads only its own inputs: the waveform sweep gates each point on such a head
+    interferer = _RIG_STREAM[:length]
+    head = impair(_RIG_DESIRED.samples[:n], interferer, 0.0, atten, -math.inf, seed)
+    full = impair(_RIG_DESIRED, interferer, 0.0, atten, -math.inf, seed)
+    assert np.array_equal(head.view(np.int64), full[:n].view(np.int64))
+
+
 def test_impair_deterministic():
     fb = rand_frame(P, 1, seed=8)
     fi = rand_frame(P, 1, seed=9, pilot_stream=1)
@@ -491,6 +520,8 @@ def test_receive_frame_syncs_exactly_when_the_full_search_fits_a_frame(shape):
         assert rx.sync_success == fits
         if fits:
             assert rx.sync_metric == sync.metric
+        head = gate_length(x.size, P, n_symbols)
+        assert rx.sync_metric == (gate_metric(x[:head], P) if head >= P.fft_size else 0.0)
         outcomes.add((sync.success, fits))
         near += abs(sync.metric - SYNC_THRESHOLD) < 0.05
     assert near >= 30
@@ -508,8 +539,10 @@ def test_head_timing_metric_is_bit_identical_to_the_full_buffer_one(n_symbols, s
     half = P.fft_size // 2
     last = slack + _refine_window(P)  # the last coarse start from which the frame can still fit
     p, metric = _timing_metric(x, half)
+    assert gate_length(size, P, n_symbols) == last + 2 * half
     head_p, head_metric = _timing_metric(x[: last + 2 * half], half)
     assert head_metric.size == last + 1
+    assert gate_metric(x[: last + 2 * half], P) == metric[: last + 1].max()
     assert np.array_equal(head_p.view(np.int64), p[: last + 1].view(np.int64))
     assert np.array_equal(head_metric.view(np.int64), metric[: last + 1].view(np.int64))
 
