@@ -8,18 +8,27 @@ valid block; it returns the most likely payload.  Branch metrics are soft
 correlations, so callers may pass LLRs directly (positive LLR means bit 0)
 or hard 0/1 decisions.
 
+Both work along the last axis: a (B, n) array is B independent code
+blocks, one per row.  The modem sends one block per OFDM symbol, so a
+frame decodes as rows in lockstep: every ufunc call of a trellis step
+advances all B trellises, and the call count is set by the block length,
+not by the frame's.  A 1-D array is the one-row case.  Each row decodes
+bit for bit as it would alone: it sees the same sums and the same tie rule.
+
 The decoder is laid out on the radix-2 butterfly of the trellis.  State
 s = 2j + b (b the newest input bit) is reached from j and from j + 32, and
 both transitions send the coded pair fixed by `_CODE_INDEX[h, j, b]`
 (h = 0 for j, 1 for j + 32).  One trellis step is therefore two ufunc calls
 on fixed views of preallocated buffers: an add of the path metrics, seen as
-(2, 32, 1), to the (2, 32, 2) branch metrics, and a maximum over the
-leading axis, which writes the new metrics in state order.  Branch metrics
-are gathered, and survivor decisions compared and bit-packed, once per
-chunk of 64 steps.  The survivor table holds one bit per state and step
-(8 bytes per step); the traceback walks it in pure Python.
+(2, 32, 1, B), to the (2, 32, 2, B) branch metrics, and a maximum over the
+leading axis, which writes the new metrics in state order.  The row axis is
+innermost, so each call runs over contiguous runs of B values.  Branch
+metrics are gathered, and survivor decisions compared and bit-packed, once
+per chunk of 64 steps.  The working memory is the LLR copy, the 64-step
+candidate buffer (64 KiB per row) and the survivor table of one bit per
+state, step and row (8 bytes per step and row); the traceback walks each
+row's table in pure Python.
 """
-
 import numpy as np
 
 CONSTRAINT_LENGTH = 7
@@ -40,19 +49,23 @@ def coded_length(n_payload_bits: int) -> int:
 
 
 def fec_encode(bits) -> np.ndarray:
-    """Encode payload bits; output interleaves the two generator streams."""
-    u = np.asarray(bits, dtype=np.uint8).ravel()
+    """Encode payload bits along the last axis; output interleaves the two generator streams.
+
+    A (B, n) input is B code blocks, each zero-tailed on its own, and gives
+    (B, coded_length(n)); a 1-D input is one block.
+    """
+    u = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
     if np.any(u > 1):
         raise ValueError("payload must be 0/1 bits")
-    u_tail = np.concatenate([u, np.zeros(TAIL_BITS, dtype=np.uint8)])
-    n = u_tail.size
-    out = np.empty(RATE_DEN * n, dtype=np.uint8)
+    u_tail = np.concatenate([u, np.zeros(u.shape[:-1] + (TAIL_BITS,), dtype=np.uint8)], axis=-1)
+    n = u_tail.shape[-1]
+    out = np.empty(u.shape[:-1] + (RATE_DEN * n,), dtype=np.uint8)
     for g, delays in enumerate(_TAP_DELAYS):
         # GF(2) convolution: XOR of the delayed copies selected by the taps
-        acc = np.zeros(n, dtype=np.uint8)
+        acc = np.zeros_like(u_tail)
         for k in delays:
-            acc[k:] ^= u_tail[: n - k]
-        out[g::RATE_DEN] = acc
+            acc[..., k:] ^= u_tail[..., : n - k]
+        out[..., g::RATE_DEN] = acc
     return out
 
 
@@ -74,9 +87,9 @@ def _build_code_index():
 
 
 _CODE_INDEX = _build_code_index()
-# branch-metric signs (1 - 2*o) of each coded bit, per code index 2*o0 + o1
-_SGN0 = np.array([1.0, 1.0, -1.0, -1.0])
-_SGN1 = np.array([1.0, -1.0, 1.0, -1.0])
+# branch-metric signs (1 - 2*o) of each coded bit, per code index 2*o0 + o1, as columns over the rows
+_SGN0 = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+_SGN1 = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 _CHUNK = 64  # trellis steps per branch-metric gather and decision pack
 # a path metric's magnitude never exceeds the 1e18 start offset plus the sum
 # of all |LLR|; bounding that sum by half the float range leaves ample room
@@ -85,66 +98,79 @@ _PM_LIMIT = np.finfo(np.float64).max / 2
 
 
 def fec_decode(coded) -> np.ndarray:
-    """Viterbi-decode a coded block back to payload bits.
+    """Viterbi-decode code blocks back to payload bits, along the last axis.
 
     `coded` is either a float array of LLRs (one per coded bit, positive
-    means bit 0) or an integer/bool array of hard 0/1 decisions.  The tail
-    is stripped from the returned payload.  Raises ValueError for a length
-    that is odd or shorter than the tail, for hard decisions other than
-    0/1, for NaN or infinite LLRs, and for LLRs so large that the path
-    metrics would overflow.
+    means bit 0) or an integer/bool array of hard 0/1 decisions.  A (B, n)
+    input is B blocks decoded in lockstep and gives (B, n // 2 - TAIL_BITS)
+    payload bits; a 1-D input is one block.  The tail is stripped from the
+    returned payload.  Raises ValueError for a length that is odd or shorter
+    than the tail, for hard decisions other than 0/1, for NaN or infinite
+    LLRs, and for a block whose LLRs are so large that its path metrics
+    would overflow.
 
     Each step adds the branch metrics to both predecessors of every state
     and keeps the larger sum.  On a tie the predecessor j wins over j + 32
     (survivor bit 0).  Apart from the LLR copy and the survivor table of
-    8 bytes per step, the working arrays are sized by the 64-step chunk,
-    not by the block.
+    8 bytes per step and block, the working arrays are sized by the 64-step
+    chunk and the block count, not by the block length.
     """
-    arr = np.asarray(coded)
+    arr = np.atleast_1d(np.asarray(coded))
     if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
         if np.any((arr != 0) & (arr != 1)):
             raise ValueError("hard decisions must be 0/1 bits")
         llr = 1.0 - 2.0 * arr.astype(np.float64)
     else:
         llr = arr.astype(np.float64)
-    llr = llr.ravel()
-    if llr.size % RATE_DEN != 0:
+    n_llr = llr.shape[-1]
+    if n_llr % RATE_DEN != 0:
         raise ValueError(f"LLR count must be a multiple of {RATE_DEN}")
-    n_steps = llr.size // RATE_DEN
+    n_steps = n_llr // RATE_DEN
     if n_steps < TAIL_BITS:
         raise ValueError("coded block shorter than the zero tail")
     if not np.isfinite(llr).all():
         raise ValueError("LLRs must be finite")
-    if np.abs(llr).max() >= _PM_LIMIT / llr.size:
+    # the bound is per row, by the row's length: a row that decodes alone also decodes in a batch
+    if llr.size and np.abs(llr).max() >= _PM_LIMIT / n_llr:
         raise ValueError("LLR magnitudes are too large: path metrics would overflow")
 
-    pm = np.full(_N_STATES, -1e18)
+    rows = llr.reshape(-1, n_llr)
+    n_rows = rows.shape[0]
+    cols = np.ascontiguousarray(rows.T)  # (n_llr, B): the row axis innermost
+    pm = np.full((_N_STATES, n_rows), -1e18)
     pm[0] = 0.0
-    pm_pairs = pm.reshape(_HALF, 2)  # new metrics, state 2j + b at [j, b]
-    pm_halves = pm.reshape(2, _HALF, 1)  # old metrics, state 32h + j at [h, j]
-    cand = np.empty((_CHUNK, 2, _HALF, 2))
+    pm_pairs = pm.reshape(_HALF, 2, n_rows)  # new metrics, state 2j + b at [j, b]
+    pm_halves = pm.reshape(2, _HALF, 1, n_rows)  # old metrics, state 32h + j at [h, j]
+    cand = np.empty((_CHUNK, 2, _HALF, 2, n_rows))
     steps = [(cand[c], cand[c, 0], cand[c, 1]) for c in range(_CHUNK)]
-    survivors = np.empty((n_steps, _N_STATES // 8), dtype=np.uint8)
+    took_j32 = np.empty((_CHUNK, n_rows, _N_STATES), dtype=np.bool_)  # each row's decisions contiguous
+    survivors = np.empty((n_steps, n_rows, _N_STATES // 8), dtype=np.uint8)
     add, maximum = np.add, np.maximum  # bound once: the inner loop is call-bound
 
     for t0 in range(0, n_steps, _CHUNK):
         m = min(_CHUNK, n_steps - t0)
-        seg = llr[RATE_DEN * t0 : RATE_DEN * (t0 + m)]
-        bm = seg[0::2, None] * _SGN0 + seg[1::2, None] * _SGN1
-        np.take(bm, _CODE_INDEX, axis=1, out=cand[:m])
+        seg = cols[RATE_DEN * t0 : RATE_DEN * (t0 + m)]
+        bm = seg[0::2, None] * _SGN0 + seg[1::2, None] * _SGN1  # (m, 4, B)
+        # indices are in range, so "clip" only spares the buffered copy that "raise" makes of `out`
+        np.take(bm, _CODE_INDEX, axis=1, out=cand[:m], mode="clip")
         for both, from_j, from_j32 in steps[:m]:
             add(both, pm_halves, out=both)
             maximum(from_j, from_j32, out=pm_pairs)
-        # `cand` still holds every candidate of the chunk: decide them all at once
-        took_j32 = cand[:m, 1] > cand[:m, 0]
-        survivors[t0 : t0 + m] = np.packbits(took_j32.reshape(m, _N_STATES), axis=1, bitorder="little")
+        # `cand` still holds every candidate of the chunk: decide them all at once, written
+        # state-major per row so that the pack runs along the last axis
+        took = took_j32[:m]
+        np.greater(cand[:m, 1], cand[:m, 0], out=took.reshape(m, n_rows, _HALF, 2).transpose(0, 2, 3, 1))
+        survivors[t0 : t0 + m] = np.packbits(took, axis=2, bitorder="little")
 
     # zero-tail: traceback from state 0; state s's bit of step t is bit s % 8 of byte 8t + s // 8
-    table = memoryview(survivors).cast("B")
-    bits = bytearray(n_steps)
-    state = 0
-    for t in range(n_steps - 1, -1, -1):
-        bits[t] = state & 1
-        bit = (table[8 * t + (state >> 3)] >> (state & 7)) & 1
-        state = (state >> 1) | (bit << (TAIL_BITS - 1))
-    return np.frombuffer(bits, dtype=np.uint8)[: n_steps - TAIL_BITS]
+    payload = np.empty((n_rows, n_steps - TAIL_BITS), dtype=np.uint8)
+    path = bytearray(n_steps)
+    for r in range(n_rows):
+        table = survivors[:, r].tobytes()
+        state = 0
+        for t in range(n_steps - 1, -1, -1):
+            path[t] = state & 1
+            bit = (table[8 * t + (state >> 3)] >> (state & 7)) & 1
+            state = (state >> 1) | (bit << (TAIL_BITS - 1))
+        payload[r] = np.frombuffer(path, dtype=np.uint8, count=n_steps - TAIL_BITS)
+    return payload.reshape(llr.shape[:-1] + (n_steps - TAIL_BITS,))

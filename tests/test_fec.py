@@ -63,9 +63,9 @@ def _reference_viterbi(coded):
     return bits[: n_steps - TAIL_BITS]
 
 
-def _channel_outputs(n, kind):
-    """A coded block of an n-bit payload as one kind of decoder input."""
-    rng = np.random.default_rng(n)
+def _channel_outputs(n, kind, block=None):
+    """A coded block of an n-bit payload as one kind of decoder input (block k of a batch draws its own)."""
+    rng = np.random.default_rng(n if block is None else [n, block])
     coded = fec_encode(rng.integers(0, 2, n))
     tx = 1.0 - 2.0 * coded
     if kind == "soft":
@@ -85,6 +85,104 @@ def test_decoder_matches_reference_viterbi(n, kind):
     got = fec_decode(x)
     assert got.dtype == np.uint8
     assert np.array_equal(got, _reference_viterbi(x))
+
+
+def _channel_rows(n_rows, n, kind):
+    """n_rows independent coded blocks of n-bit payloads, one per row."""
+    return np.stack([_channel_outputs(n, kind, block) for block in range(n_rows)])
+
+
+# ----------------------------------------------------------------- blocks as rows, in lockstep
+
+
+# one row per OFDM symbol of a 28-symbol frame: 1,044 payload bits make 2,100 coded bits
+@pytest.mark.parametrize("kind", ["soft", "hard", "quantised", "zero"])
+def test_frame_of_rows_matches_reference_viterbi(kind):
+    x = _channel_rows(28, 1044, kind)
+    assert x.shape == (28, 2100)
+    got = fec_decode(x)
+    assert got.shape == (28, 1044) and got.dtype == np.uint8
+    for row, decoded in zip(x, got):
+        assert np.array_equal(decoded, _reference_viterbi(row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(TAIL_BITS, 80)).flatmap(
+        lambda shape: arrays(
+            np.float64, (shape[0], 2 * shape[1]), elements=st.floats(allow_nan=False, allow_infinity=False)
+        )
+    )
+)
+def test_rows_decode_as_each_row_alone(llr):
+    # the overflow bound is per row: a row that decodes alone also decodes inside a batch
+    if (np.abs(llr).max(axis=1) >= _PM_LIMIT / llr.shape[1]).any():
+        with pytest.raises(ValueError, match="overflow"):
+            fec_decode(llr)
+    else:
+        got = fec_decode(llr)
+        assert got.shape == (llr.shape[0], llr.shape[1] // 2 - TAIL_BITS)
+        for row, decoded in zip(llr, got):
+            assert np.array_equal(decoded, fec_decode(row))
+
+
+@pytest.mark.parametrize("kind", ["soft", "hard"])
+def test_one_row_decodes_as_the_block(kind):
+    x = _channel_outputs(250, kind)
+    got = fec_decode(x[None])
+    assert got.shape == (1, 250)
+    assert np.array_equal(got[0], fec_decode(x))
+
+
+# 57/58/59-bit payloads are 63/64/65 trellis steps, either side of the 64-step chunk
+@pytest.mark.parametrize("n", [57, 58, 59])
+@pytest.mark.parametrize("kind", ["soft", "hard", "quantised"])
+def test_rows_either_side_of_the_chunk_edge(n, kind):
+    x = _channel_rows(3, n, kind)
+    got = fec_decode(x)
+    for row, decoded in zip(x, got):
+        assert np.array_equal(decoded, _reference_viterbi(row))
+
+
+def test_decode_works_along_the_last_axis():
+    x = _channel_rows(6, 40, "soft")
+    assert np.array_equal(fec_decode(x.reshape(2, 3, -1)), fec_decode(x).reshape(2, 3, -1))
+    assert fec_decode(np.zeros((0, 20))).shape == (0, 20 // 2 - TAIL_BITS)
+
+
+def test_rows_reject_bad_inputs():
+    with pytest.raises(ValueError, match="multiple"):
+        fec_decode(np.zeros((3, 21)))
+    with pytest.raises(ValueError, match="tail"):
+        fec_decode(np.zeros((3, 10)))
+    llr = np.ones((3, 20))
+    llr[2, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fec_decode(llr)
+    hard = np.zeros((3, 20), dtype=np.int8)
+    hard[1, 0] = 2
+    with pytest.raises(ValueError, match="0/1"):
+        fec_decode(hard)
+    llr = np.ones((3, 20))
+    llr[1, 3] = _PM_LIMIT / 20  # only row 1 is over the bound, and it fails the whole batch
+    with pytest.raises(ValueError, match="overflow"):
+        fec_decode(llr)
+    assert fec_decode(llr[[0, 2]]).shape == (2, 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 57, 1044])
+def test_encoder_rows_match_per_row_encode(n):
+    bits = np.random.default_rng(n).integers(0, 2, (5, n)).astype(np.uint8)
+    coded = fec_encode(bits)
+    assert coded.shape == (5, coded_length(n))
+    for row, block in zip(bits, coded):
+        assert np.array_equal(block, fec_encode(row))
+    assert np.array_equal(fec_decode(coded), bits)
+    with pytest.raises(ValueError):
+        fec_encode(np.full((2, 3), 2))
+
+
+# ----------------------------------------------------------------- single blocks
 
 
 @settings(max_examples=60, deadline=None)
