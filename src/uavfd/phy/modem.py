@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fec import TAIL_BITS, coded_length, fec_encode
+from .fec import TAIL_BITS, fec_encode
 
 BITS_PER_SYMBOL = 4  # 16QAM
 _QAM_SCALE = 1.0 / math.sqrt(10.0)
@@ -73,14 +73,19 @@ class OfdmParams:
         return self.preamble_samples + n_symbols * self.symbol_samples
 
     def payload_bits(self, n_symbols: int) -> int:
-        """Payload size that exactly fills n_symbols after FEC."""
+        """Payload size that exactly fills n_symbols after FEC.
+
+        Each OFDM symbol carries one zero-tailed rate-1/2 code block: its
+        4 coded bits per data subcarrier hold 2 * n_data_subcarriers input
+        bits, of which TAIL_BITS are the tail (1,044 payload bits per symbol
+        at the default numerology).
+        """
         if n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
-        # rate 1/2: 4 coded bits per data subcarrier make the count even
-        n = n_symbols * self.n_data_subcarriers * BITS_PER_SYMBOL // 2 - TAIL_BITS
-        if n <= 0:
+        per_symbol = self.n_data_subcarriers * BITS_PER_SYMBOL // 2 - TAIL_BITS
+        if per_symbol <= 0:
             raise ValueError("frame too small to carry the FEC tail")
-        return n
+        return n_symbols * per_symbol
 
     def data_power_share(self, n_symbols: int) -> float:
         """Average power of the data-symbol region of a unit-power frame.
@@ -225,23 +230,24 @@ class FrameBuffer:
 def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> FrameBuffer:
     """FEC-encode, map, and modulate a payload into a baseband frame.
 
-    The payload must exactly fill a whole number of OFDM symbols after
-    rate-1/2 encoding (see OfdmParams.payload_bits).  The emitted frame
-    has unit average sample power.  pilot_stream selects the transmitter's
-    pilot scrambling; co-channel transmitters should use distinct ids.
+    The payload must exactly fill a whole number of OFDM symbols (see
+    OfdmParams.payload_bits).  Each symbol's share of it is encoded as its
+    own zero-tailed code block, so block k is the coded bits of symbol k
+    and decodes on its own.  The emitted frame has unit average sample
+    power.  pilot_stream selects the transmitter's pilot scrambling;
+    co-channel transmitters should use distinct ids.
     """
     payload = np.asarray(payload_bits, dtype=np.uint8).ravel()
-    bits_per_ofdm = params.n_data_subcarriers * BITS_PER_SYMBOL
-    n_coded = coded_length(payload.size)
-    if n_coded % bits_per_ofdm != 0:
-        good = params.payload_bits(max(1, n_coded // bits_per_ofdm))
+    per_symbol = params.payload_bits(1)
+    n_symbols = payload.size // per_symbol
+    if n_symbols == 0 or payload.size % per_symbol != 0:
+        good = params.payload_bits(max(1, round(payload.size / per_symbol)))
         raise ValueError(
             f"payload of {payload.size} bits does not fill whole OFDM symbols; "
             f"nearest valid size is {good} (see OfdmParams.payload_bits)"
         )
-    n_symbols = n_coded // bits_per_ofdm
 
-    coded = fec_encode(payload)
+    coded = fec_encode(payload.reshape(n_symbols, per_symbol))
     syms = map_16qam(coded).reshape(n_symbols, params.n_data_subcarriers)
 
     maps = _subcarrier_maps(params)

@@ -228,8 +228,9 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
 
     payload = None
     if decode:
-        llr = demap_16qam(y_eq.ravel())
-        payload = fec_decode(llr)
+        # one zero-tailed code block per symbol (see build_frame), decoded as rows in lockstep
+        llr = demap_16qam(y_eq.ravel()).reshape(n_symbols, -1)
+        payload = fec_decode(llr).ravel()
 
     return RxResult(
         sync_success=True,

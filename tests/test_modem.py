@@ -22,7 +22,9 @@ from uavfd.phy import (
     synchronize,
     write_iq,
 )
-from uavfd.phy.modem import _QAM_SCALE, _pilot_matrix, _preamble, _subcarrier_maps
+from uavfd.phy import receiver
+from uavfd.phy.fec import TAIL_BITS
+from uavfd.phy.modem import BITS_PER_SYMBOL, _QAM_SCALE, _pilot_matrix, _preamble, _subcarrier_maps
 from uavfd.phy.receiver import _derotate, _refine_window, _timing_metric
 
 P = OfdmParams()
@@ -120,6 +122,34 @@ def test_frame_unit_average_power():
 def test_payload_size_mismatch_raises():
     with pytest.raises(ValueError):
         build_frame(P, np.zeros(17, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("size,nearest", [(1043, 1044), (1045, 1044), (2087, 2088), (2089, 2088)])
+def test_payload_size_error_names_the_nearest_valid_size(size, nearest):
+    with pytest.raises(ValueError, match=f"payload of {size} bits .* nearest valid size is {nearest} "):
+        build_frame(P, np.zeros(size, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "params", [P, OfdmParams(fft_size=256, cp_length=32, active_subcarriers=120), OfdmParams(pilot_spacing=4)]
+)
+def test_payload_bits_is_one_zero_tailed_block_per_symbol(params):
+    per_symbol = 2 * params.n_data_subcarriers - TAIL_BITS
+    for n in (1, 2, 28):
+        assert params.payload_bits(n) == n * per_symbol
+    if params == P:
+        assert per_symbol == 1044
+    with pytest.raises(ValueError, match="FEC tail"):
+        OfdmParams(fft_size=8, cp_length=2, active_subcarriers=4, pilot_spacing=2).payload_bits(1)
+
+
+def test_frame_codes_each_symbol_as_its_own_block():
+    fb = rand_frame(P, 3, seed=25)
+    blocks = fb.payload.reshape(3, P.payload_bits(1))
+    coded = np.concatenate([fec_encode(block) for block in blocks])
+    assert coded.size == 3 * BITS_PER_SYMBOL * P.n_data_subcarriers
+    # noiseless points demap to the coded bits they carry (positive LLR means bit 0)
+    assert np.array_equal((demap_16qam(fb.data_symbols) < 0).astype(np.uint8), coded)
 
 
 @pytest.mark.parametrize(
@@ -611,6 +641,32 @@ def test_receive_decodes_through_noise():
     rx = receive_frame(impair(fb, None, 0.0, math.inf, nd, seed=5), P, fb.data_symbols)
     assert rx.sync_success
     assert np.array_equal(rx.payload, fb.payload)
+
+
+def test_28_symbol_frame_decodes_exactly_at_30_db():
+    fb = rand_frame(P, 28, seed=26)
+    nd = noise_power_for_subcarrier_snr(P, 30.0, 28)
+    rx = receive_frame(impair(fb, None, 0.0, math.inf, nd, seed=6), P, fb.data_symbols)
+    assert rx.sync_success
+    assert rx.payload.shape == (28 * 1044,)
+    assert np.array_equal(rx.payload, fb.payload)
+
+
+@pytest.mark.parametrize("k", [0, 13, 27])
+def test_flipping_one_symbols_llrs_changes_only_its_payload_block(monkeypatch, k):
+    fb = rand_frame(P, 28, seed=27)
+    coded_per_symbol = BITS_PER_SYMBOL * P.n_data_subcarriers
+
+    def flip_symbol_k(symbols):
+        llr = demap_16qam(symbols)
+        llr[coded_per_symbol * k : coded_per_symbol * (k + 1)] *= -1.0
+        return llr
+
+    monkeypatch.setattr(receiver, "demap_16qam", flip_symbol_k)
+    rx = receive_frame(fb.samples, P, fb.data_symbols)
+    wrong = np.flatnonzero(rx.payload != fb.payload)
+    assert wrong.size > 0
+    assert 1044 * k <= wrong.min() and wrong.max() < 1044 * (k + 1)
 
 
 def test_receive_deterministic():
