@@ -498,7 +498,7 @@ def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, sce
     assert len(calls) == passed + 1
 
 
-@pytest.mark.parametrize("name,full,heads", [("dipole-0.1", 1, 496), ("directional-0.1", 83, 140)])
+@pytest.mark.parametrize("name,full,heads", [("dipole-0.1", 1, 496), ("directional-0.1", 81, 140)])
 def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenarios, grid, name, full, heads):
     # the full-length calls are the received desired signal, the interference-free pass and each
     # interfered point whose head passes the gate; every interfered point forms its head

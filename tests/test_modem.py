@@ -88,7 +88,7 @@ def test_qam_table_matches_formula_bit_for_bit():
     patterns = np.array(list(itertools.product([0, 1], repeat=4))).ravel()
     assert np.array_equal(map_16qam(patterns), _reference_map_16qam(patterns))
     coded = fec_encode(np.random.default_rng(24).integers(0, 2, P.payload_bits(28)))
-    assert P.payload_bits(28) == 29_394
+    assert P.payload_bits(28) == 29_232
     assert np.array_equal(map_16qam(coded), _reference_map_16qam(coded))
 
 
