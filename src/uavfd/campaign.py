@@ -511,7 +511,9 @@ def read_sweep_csv(path) -> SweepTable:
     """Read a sweep CSV back into a table.
 
     The CSV stores reported (clamped) interference only, so the raw
-    interference column reads as unknown (NaN); empty fields read as NaN.
+    interference column reads as unknown (NaN); empty EVM, SINR, capacity
+    and sync fields read as NaN.  Position and power fields are required:
+    an empty or NaN one raises ValueError.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -531,4 +533,8 @@ def read_sweep_csv(path) -> SweepTable:
         if "" in c:
             c[:] = [v or "nan" for v in c]
     cols = [np.array(c, dtype=float) for c in cols]
+    for name, c in zip(SWEEP_CSV_COLUMNS[:5], cols[:5]):
+        bad = np.flatnonzero(np.isnan(c))
+        if bad.size:
+            raise ValueError(f"{path}: row {bad[0] + 2} has a NaN {name}")
     return SweepTable(*cols[:4], _unknown(len(rows)), *cols[4:])

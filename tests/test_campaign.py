@@ -595,6 +595,19 @@ def test_csv_read_rejects_an_empty_position_or_power(tmp_path, capacity_dir01_an
         read_sweep_csv(path)
 
 
+@pytest.mark.parametrize("column", range(5))
+@pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])
+def test_csv_read_rejects_a_nan_position_or_power(tmp_path, capacity_dir01_analytic, column, nan):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, capacity_dir01_analytic)
+    header, first, second, *rest = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[column] = nan
+    path.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
+    with pytest.raises(ValueError, match=f"row 3 has a NaN {SWEEP_CSV_COLUMNS[column]}"):
+        read_sweep_csv(path)
+
+
 def test_dipole_scenario_is_interference_limited(power_dipole):
     # 27.5 dBm transmit through near-omni antennas: nothing sits at the floor
     assert all(not r.at_floor for r in power_dipole)

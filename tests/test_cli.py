@@ -100,6 +100,25 @@ def test_cdf_header_only_file(tmp_path, capsys):
     assert "no records" in err
 
 
+def _with_nan_interference(path):
+    """Rewrite a sweep CSV with its second record's p_int_dbm as a literal nan."""
+    header, first, second, *rest = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[3] = "nan"
+    path.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
+
+
+def test_cdf_rejects_a_nan_level(tmp_path, capsys):
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    path = tmp_path / "directional-0.1_power.csv"
+    _with_nan_interference(path)
+    code, out, err = run(["cdf", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "row 3 has a NaN p_int_dbm" in err
+    assert not (tmp_path / "directional-0.1_power_cdf.csv").exists()
+
+
 def test_cdf_missing_file(tmp_path, capsys):
     code, _, err = run(["cdf", str(tmp_path / "missing.csv")], capsys)
     assert code == 2
@@ -299,6 +318,17 @@ def test_place_max_capacity_rejects_rows_without_capacity(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "record 1 has no capacity" in err
+
+
+@pytest.mark.parametrize("objective", ["min-interference", "max-capacity"])
+def test_place_rejects_a_nan_level(tmp_path, capsys, objective):
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    path = tmp_path / "directional-0.1_capacity.csv"
+    _with_nan_interference(path)
+    code, out, err = run(["place", str(path), "--objective", objective], capsys)
+    assert code == 2
+    assert out == ""
+    assert "row 3 has a NaN p_int_dbm" in err
 
 
 def test_place_unknown_objective(tmp_path, capsys):
