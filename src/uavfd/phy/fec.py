@@ -144,7 +144,7 @@ def fec_decode(coded) -> np.ndarray:
     cand = np.empty((_CHUNK, 2, _HALF, 2, n_rows))
     steps = [(cand[c], cand[c, 0], cand[c, 1]) for c in range(_CHUNK)]
     took_j32 = np.empty((_CHUNK, n_rows, _N_STATES), dtype=np.bool_)  # each row's decisions contiguous
-    survivors = np.empty((n_steps, n_rows, _N_STATES // 8), dtype=np.uint8)
+    survivors = np.empty((n_rows, n_steps, _N_STATES // 8), dtype=np.uint8)  # each row's table contiguous
     add, maximum = np.add, np.maximum  # bound once: the inner loop is call-bound
 
     for t0 in range(0, n_steps, _CHUNK):
@@ -160,13 +160,13 @@ def fec_decode(coded) -> np.ndarray:
         # state-major per row so that the pack runs along the last axis
         took = took_j32[:m]
         np.greater(cand[:m, 1], cand[:m, 0], out=took.reshape(m, n_rows, _HALF, 2).transpose(0, 2, 3, 1))
-        survivors[t0 : t0 + m] = np.packbits(took, axis=2, bitorder="little")
+        survivors[:, t0 : t0 + m] = np.packbits(took, axis=2, bitorder="little").transpose(1, 0, 2)
 
     # zero-tail: traceback from state 0; state s's bit of step t is bit s % 8 of byte 8t + s // 8
     payload = np.empty((n_rows, n_steps - TAIL_BITS), dtype=np.uint8)
     path = bytearray(n_steps)
     for r in range(n_rows):
-        table = survivors[:, r].tobytes()
+        table = memoryview(survivors[r]).cast("B")
         state = 0
         for t in range(n_steps - 1, -1, -1):
             path[t] = state & 1
