@@ -29,6 +29,7 @@ candidate buffer (64 KiB per row) and the survivor table of one bit per
 state, step and row (8 bytes per step and row); the traceback walks each
 row's table in pure Python.
 """
+
 import numpy as np
 
 CONSTRAINT_LENGTH = 7
@@ -162,7 +163,7 @@ def fec_decode(coded) -> np.ndarray:
         np.greater(cand[:m, 1], cand[:m, 0], out=took.reshape(m, n_rows, _HALF, 2).transpose(0, 2, 3, 1))
         survivors[:, t0 : t0 + m] = np.packbits(took, axis=2, bitorder="little").transpose(1, 0, 2)
 
-    # zero-tail: traceback from state 0; state s's bit of step t is bit s % 8 of byte 8t + s // 8
+    # zero-tail: traceback from state 0; in a row's table, state s's bit of step t is bit s % 8 of byte 8t + s // 8
     payload = np.empty((n_rows, n_steps - TAIL_BITS), dtype=np.uint8)
     path = bytearray(n_steps)
     for r in range(n_rows):
