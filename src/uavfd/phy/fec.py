@@ -132,7 +132,7 @@ def fec_decode(coded) -> np.ndarray:
     if not np.isfinite(llr).all():
         raise ValueError("LLRs must be finite")
     # the bound is per row, by the row's length: a row that decodes alone also decodes in a batch
-    if llr.size and np.abs(llr).max() >= _PM_LIMIT / n_llr:
+    if np.abs(llr).max() >= _PM_LIMIT / n_llr:
         raise ValueError("LLR magnitudes are too large: path metrics would overflow")
 
     rows = llr.reshape(-1, n_llr)
