@@ -24,10 +24,15 @@ plus noise, is formed once, each point adds only its interferer, and
 every interference-free point shares one receiver pass.  An interfered
 point first forms only the head the receiver's sync gate reads (1,088 of
 33,280 samples) and decides the gate on it; only past the gate is its
-full buffer formed and received.  Grid points are
-independent: per-point draws come from `point_keys`, a SplitMix64 hash of
-(sweep seed, stream, position in mm), so a point's result depends neither
-on evaluation order nor on the grid it was swept in.
+full buffer formed and received.
+
+One key rule derives every run seed: `key_fold`, a SplitMix64 hash of
+(seed, stream, a row of integer words).  Each quantity drawn has its own
+stream.  The rig payloads and the receiver noise are streams of the sweep
+seed alone; each grid point's interferer delay and pointing error are
+streams over its position in mm (`point_keys`), so a point's result
+depends neither on evaluation order nor on the grid it was swept in.
+`uavfd modem` keys frame k's payloads and impair seed by the word k.
 
 Sweep results are a `SweepTable` of float64 columns, row i being grid
 point i: x, y, h, reported and raw interference, desired power, EVM,
@@ -58,6 +63,7 @@ from .metrics import (
 )
 from .phy import SYNC_THRESHOLD, FrameBuffer, OfdmParams, RxResult, build_frame, gate_length, gate_metric
 from .phy import impair, receive_frame
+from .phy.modem import _U64, splitmix64
 from .propagation import NodeConfig, fspl_db, link_gain_db, noise_floor_dbm
 
 GS_POSITION = Position(0.0, 0.0, 0.1)
@@ -263,34 +269,46 @@ def grid_positions(spec: GridSpec, height_m: float) -> np.ndarray:
     return np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs)), np.full(len(xs) * len(ys), height_m)))
 
 
-_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_U64 = (1 << 64) - 1
-# point_keys streams: the pointing error's two Box-Muller uniforms and its azimuth, and the rig's impair seed
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+# streams of the key fold, one per quantity drawn.  Position-keyed: the pointing error's two Box-Muller
+# uniforms and its azimuth, and the waveform sweep's per-point impair seed (the interferer delay).
+# Keyed by the sweep seed alone, or by `uavfd modem`'s frame index: the desired and the interferer
+# payloads and impair's seed for a whole frame (the receiver noise, and in the modem the delay too).
 _POINTING_STREAMS = (0, 1, 2)
-_RIG_STREAM = 3
+_DELAY_STREAM = 3
+_RIG_STREAMS = (4, 5, 6)
+
+
+def key_fold(seed: int, stream: int, words) -> np.ndarray:
+    """One uint64 key per row of an (N, W) block of integer words, from (seed, stream, the row's words).
+
+    The words (the seed's 64-bit limbs, stream, then the row's W words) are
+    folded in one at a time: xor into the key, add the golden gamma, mix
+    with `splitmix64`, all in uint64 arithmetic that wraps mod 2**64.  A key
+    depends on its own row only.  This fold derives every run seed.
+    """
+    limbs = [seed >> s & _U64 for s in range(0, max(seed.bit_length(), 1), 64)]
+    key = np.zeros(len(words), dtype=np.uint64)
+    for word in (*limbs, stream, *np.asarray(words, dtype=np.uint64).T):
+        key = splitmix64((key ^ word) + _GOLDEN_GAMMA)
+    return key
 
 
 def point_keys(seed: int, stream: int, pos: np.ndarray) -> np.ndarray:
     """One uint64 key per (N, 3) position row, from (seed, stream, position in whole mm).
 
-    The words (the seed's 64-bit limbs, stream, then x, y and h zigzagged)
-    are folded in one at a time: xor into the key, add the golden gamma,
-    mix with the SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA 2014),
-    all in uint64 arithmetic that wraps mod 2**64.  A key depends on its own
-    point only, never on the grid around it.  Positions beyond 2**62 mm
+    The key fold's words are x, y and h zigzagged, so a key depends on its
+    own point only, never on the grid around it.  Positions beyond 2**62 mm
     share the key of that bound.
     """
     mm = np.clip(np.rint(np.asarray(pos, dtype=float) * 1000.0), -(2.0**62), 2.0**62).astype(np.int64)
     # zigzag (0, -1, 1 -> 0, 1, 2) keeps mirrored points apart
-    zigzag = ((mm << 1) ^ (mm >> 63)).view(np.uint64)
-    limbs = [np.uint64(seed >> s & _U64) for s in range(0, max(seed.bit_length(), 1), 64)]
-    key = np.zeros(len(mm), dtype=np.uint64)
-    for word in (*limbs, np.uint64(stream), *zigzag.T):
-        z = (key ^ word) + _GOLDEN_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        key = z ^ (z >> np.uint64(31))
-    return key
+    return key_fold(seed, stream, ((mm << 1) ^ (mm >> 63)).view(np.uint64))
+
+
+def rig_seeds(seed: int, *words: int) -> list[int]:
+    """The rig's run seeds over a few int words: the desired and the interferer payload, then impair's."""
+    return [int(key_fold(seed, s, [words])[0]) for s in _RIG_STREAMS]
 
 
 def pointing_errors(seed: int, pos: np.ndarray, sigma_deg: float) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +319,7 @@ def pointing_errors(seed: int, pos: np.ndarray, sigma_deg: float) -> tuple[np.nd
     a third.
     """
     # a float on [0, 1) from each key's top 53 bits
-    u1, u2, u3 = ((point_keys(seed, s, pos) >> np.uint64(11)) * 2.0**-53 for s in _POINTING_STREAMS)
+    u1, u2, u3 = ((point_keys(seed, s, pos) >> 11) * 2.0**-53 for s in _POINTING_STREAMS)
     theta = sigma_deg * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
     return theta, 2.0 * math.pi * u3
 
@@ -379,13 +397,13 @@ def rig_frame(
 
 
 def measure_link(
-    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise_dbm: float, seed
+    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise_dbm: float, seed: int
 ) -> tuple[np.ndarray, RxResult]:
     """Replay a frame through the combiner rig and measure its EVM.
 
     `impair` attenuates the frame and the interferer and adds receiver
-    noise of power noise_dbm (-inf for none), drawing the interferer's delay
-    and then the noise from seed; the interferer is left out when it is None
+    noise of power noise_dbm (-inf for none); the int seed gives the
+    interferer's delay and the noise; the interferer is left out when it is None
     or atten_interferer_db is inf.  Returns the impaired samples and the
     receiver result (EVM only, no decoding).
     """
@@ -426,16 +444,16 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         table.sync_ok[:] = 1.0
     else:
         params = OfdmParams()
-        frame, interferer = rig_frame(params, FRAME_SYMBOLS, [np.random.SeedSequence([seed, k]) for k in (1, 2)])
+        *payload_seeds, noise_seed = rig_seeds(seed)
+        frame, interferer = rig_frame(params, FRAME_SYMBOLS, payload_seeds)
         # common random numbers: the desired level is one per sweep and the
         # receiver noise is drawn once for every point, so the received desired
         # signal is formed once; the noise is white, its PSD fixed by the
         # configured floor over the full sampled band
         noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
-        noise_seed = np.random.SeedSequence([seed, 4])
         desired = impair(frame, None, -table.desired_dbm[0].item(), math.inf, noise_wave_dbm, noise_seed)
         received = replace(frame, samples=desired)
-        keys = point_keys(seed, _RIG_STREAM, np.column_stack((table.x, table.y, table.h))).tolist()
+        keys = point_keys(seed, _DELAY_STREAM, np.column_stack((table.x, table.y, table.h))).tolist()
         intf = i_dbm.tolist()
         head = gate_length(desired.size, params, FRAME_SYMBOLS)
         # every interference-free point sees the same rig input, so one pass serves them all
@@ -443,7 +461,7 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         passes = ([clean] if clean.size else []) + [[i] for i in np.flatnonzero(i_dbm > -math.inf).tolist()]
         for rows in passes:
             i = rows[0]
-            # no noise is drawn per point and the delay draw ignores the length, so impair's output over
+            # no noise is drawn per point and the delay ignores the desired length, so impair's output over
             # the head is the head of its output: a point whose head fails the sync gate stops there
             if intf[i] > -math.inf:
                 mixed_head = impair(desired[:head], interferer, 0.0, -intf[i], -math.inf, keys[i])

@@ -24,6 +24,7 @@ from .campaign import (
     mirror_symmetry,
     read_sweep_csv,
     rig_frame,
+    rig_seeds,
     run_capacity_sweep,
     write_csv_columns,
     write_sweep_csv,
@@ -231,9 +232,9 @@ def _cmd_modem(args) -> int:
     evm_sq_sum = 0.0
     n_ok = 0
     for k in range(args.frames):
-        seeds = [np.random.SeedSequence([args.seed, k, j]) for j in (0, 1, 2)]
-        frame, interferer = rig_frame(params, args.symbols, seeds[:2], interferer=args.sir != math.inf)
-        mixed, rx = measure_link(frame, interferer, 0.0, args.sir, noise_dbm, int(seeds[2].generate_state(1)[0]))
+        *payload_seeds, impair_seed = rig_seeds(args.seed, k)
+        frame, interferer = rig_frame(params, args.symbols, payload_seeds, interferer=args.sir != math.inf)
+        mixed, rx = measure_link(frame, interferer, 0.0, args.sir, noise_dbm, impair_seed)
         if args.dump_iq and k == 0:
             write_iq(args.dump_iq, mixed)
         if rx.sync_success:

@@ -13,6 +13,7 @@ free-running at an arbitrary (asynchronous) sample offset.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -28,8 +29,10 @@ _QAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 _GRAY_LEVELS = np.array([1.0, 3.0, -1.0, -3.0])  # (1-2*u0)*(1+2*u1) for u0u1 = 00, 01, 10, 11
 _QAM_POINTS = (_GRAY_LEVELS.repeat(4) + 1j * np.tile(_GRAY_LEVELS, 4)) * _QAM_SCALE
 
+# fixed waveform constants, not run seeds: they seed the pilot and preamble sequences
 _PILOT_SEED = 0x0FD1
 _PREAMBLE_SEED = 0x0FD2
+_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -275,31 +278,38 @@ def _as_samples(x) -> np.ndarray:
     return x.samples if isinstance(x, FrameBuffer) else np.asarray(x, dtype=np.complex128)
 
 
+def splitmix64(z):
+    """SplitMix64's finaliser (Steele, Lea & Flood, OOPSLA 2014) of a uint64 array or an int, mod 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _U64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _U64
+    return z ^ (z >> 31)
+
+
 def impair(
     desired,
     interferer,
     atten_desired_db: float,
     atten_interferer_db: float = math.inf,
     noise_power_dbm: float = -math.inf,
-    seed=0,
+    seed: int = 0,
 ) -> np.ndarray:
     """Combine attenuated desired and interferer signals plus receiver noise.
 
     Power accounting is relative to the 0 dBm unit-power reference: a frame
     attenuated by A dB arrives at -A dBm.  The interferer is circularly
-    shifted by a delay drawn uniformly from the seed and repeated or cut to
-    the desired signal's length, modeling an unsynchronized transmitter.
-    Noise is circular complex Gaussian with total power noise_power_dbm.
-    Draw order is fixed (delay, then noise), so a given seed (an int or a
-    SeedSequence) always gives the same output.
+    shifted by a delay uniform on [0, len(interferer)), taken straight from
+    the int seed as (splitmix64(seed) * len(interferer)) >> 64, and repeated
+    or cut to the desired signal's length, modeling an unsynchronized
+    transmitter.  Noise is circular complex Gaussian with total power
+    noise_power_dbm, I then Q drawn from default_rng(seed), which is built
+    only when noise is drawn.  A given seed always gives the same output.
     """
     d = _as_samples(desired)
-    rng = np.random.default_rng(seed)
     out = d * 10.0 ** (-atten_desired_db / 20.0)
 
     if interferer is not None and atten_interferer_db != math.inf:
         i = _as_samples(interferer)
-        delay = int(rng.integers(0, i.size))
+        delay = splitmix64(operator.index(seed)) * i.size >> 64
         gain = 10.0 ** (-atten_interferer_db / 20.0)
         # sample k is i[(k - delay) mod len(i)]: added one contiguous run per wrap of the interferer
         k, src = 0, -delay % i.size
@@ -310,7 +320,7 @@ def impair(
 
     if noise_power_dbm != -math.inf:
         # one draw of both quadratures: the same stream as drawing I then Q
-        noise = rng.standard_normal((2, d.size))
+        noise = np.random.default_rng(seed).standard_normal((2, d.size))
         noise *= math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
         out.real += noise[0]
         out.imag += noise[1]

@@ -41,6 +41,7 @@ from uavfd.phy import (
     receiver,
     synchronize,
 )
+from uavfd.phy.modem import splitmix64
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -410,6 +411,43 @@ def test_point_keys_match_a_python_int_oracle(seed):
             key = _splitmix64_oracle(((key ^ word) + 0x9E3779B97F4A7C15) & (2**64 - 1))
         want.append(key)
     assert point_keys(seed, 3, pos).tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1088, 5760, 33280, 2**40])
+def test_delays_from_100k_keys_lie_in_range_and_are_uniform(n):
+    # seeds 0..99,999 sit far below 2**32, as the modem benchmark's do: a raw multiply-shift would give delay 0
+    seeds = range(100_000)
+    mixed = [splitmix64(s) for s in seeds]
+    assert mixed[:64] == [_splitmix64_oracle(s) for s in range(64)]
+    # one finaliser serves the uint64 keys of `point_keys` and impair's int seed
+    assert splitmix64(np.arange(64, dtype=np.uint64)).tolist() == mixed[:64]
+    delays = np.array([m * n >> 64 for m in mixed], dtype=np.int64)
+    assert delays.min() >= 0 and delays.max() < n
+    if n <= 1088:  # at least 91 keys expected per delay
+        counts = np.bincount(delays, minlength=n)
+        expected = len(seeds) / n
+        chi2 = float(np.sum((counts - expected) ** 2) / expected)
+        # the statistic has n - 1 degrees of freedom: mean n - 1, standard deviation sqrt(2 (n - 1));
+        # the bound is 5 standard deviations above the mean
+        df = n - 1
+        assert chi2 <= df + 5.0 * math.sqrt(2.0 * df)
+
+
+def test_waveform_sweep_builds_one_generator_per_payload_and_one_for_the_noise(monkeypatch, scenarios, grid):
+    # the interferer delays come straight from the point keys, so no grid point builds a Generator
+    sc = replace(scenarios["dipole-0.1"], engine="waveform")
+    run_capacity_sweep(sc, grid)  # fills the frame caches (pilots, preamble), which build their own
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    table = run_capacity_sweep(sc, grid)
+    assert len(table) == 496 and not table.sync_ok.any()
+    assert built == campaign.rig_seeds(0)
 
 
 def test_point_keys_of_a_million_point_grid_are_distinct():

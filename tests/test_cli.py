@@ -233,6 +233,16 @@ def test_modem_iq_dump(tmp_path, capsys):
     assert dump.stat().st_size % 8 == 0
 
 
+def test_modem_iq_dump_of_frame_0_does_not_depend_on_the_frame_count(tmp_path, capsys):
+    # frame k's payloads and impair seed are keyed by (seed, k) alone, so later frames cannot move frame 0
+    dumps = []
+    for frames in ("1", "4"):
+        dumps.append(tmp_path / f"frames-{frames}.iq")
+        args = ["modem", "--snr", "15", "--sir", "5", "--frames", frames, "--seed", "9", "--dump-iq", str(dumps[-1])]
+        assert run(args, capsys)[0] == 0
+    assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+
 def test_plan_reference_table(capsys):
     code, out, _ = run(["plan", "--uavs", "2"], capsys)
     assert code == 0

@@ -24,7 +24,7 @@ from uavfd.phy import (
 )
 from uavfd.phy import receiver
 from uavfd.phy.fec import TAIL_BITS
-from uavfd.phy.modem import BITS_PER_SYMBOL, _QAM_SCALE, _pilot_matrix, _preamble, _subcarrier_maps
+from uavfd.phy.modem import BITS_PER_SYMBOL, _QAM_SCALE, _pilot_matrix, _preamble, _subcarrier_maps, splitmix64
 from uavfd.phy.receiver import _derotate, _refine_window, _timing_metric
 
 P = OfdmParams()
@@ -259,9 +259,10 @@ def test_impair_draw_order_is_delay_then_i_then_q():
     fb = rand_frame(P, 1, seed=8)
     fi = rand_frame(P, 1, seed=9, pilot_stream=1)
     out = impair(fb, fi.body_stream(), 3.0, 10.0, -30.0, seed=77)
-    rng = np.random.default_rng(77)
-    i = np.roll(fi.body_stream(), int(rng.integers(0, fi.body_stream().size)))
+    # the delay is the seed's mix scaled to the interferer's length; the noise is I, then Q, of default_rng(seed)
+    i = np.roll(fi.body_stream(), splitmix64(77) * fi.body_stream().size >> 64)
     i = np.tile(i, 2)[: fb.samples.size]
+    rng = np.random.default_rng(77)
     noise = rng.standard_normal(fb.samples.size) + 1j * rng.standard_normal(fb.samples.size)
     ref = fb.samples * 10 ** (-3.0 / 20) + i * 10 ** (-10.0 / 20) + noise * math.sqrt(1e-3 / 2)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
@@ -284,16 +285,15 @@ def test_impair_leaves_inputs_untouched(interferer_kind, seed):
 
 
 def _reference_impair(desired, interferer, atten_desired_db, atten_interferer_db, noise_power_dbm, seed):
-    """The rig as np.roll by the first draw, np.tile and a cut to length, then the (2, n) noise draw."""
+    """The rig as np.roll by the seed's delay, np.tile and a cut to length, then default_rng(seed)'s (2, n) noise."""
     d = np.asarray(desired, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
     out = d * 10.0 ** (-atten_desired_db / 20.0)
-    i = np.roll(interferer, int(rng.integers(0, interferer.size)))
+    i = np.roll(interferer, splitmix64(seed) * interferer.size >> 64)
     if i.size != d.size:
         i = np.tile(i, int(np.ceil(d.size / i.size)))[: d.size]
     i *= 10.0 ** (-atten_interferer_db / 20.0)
     out += i
-    noise = rng.standard_normal((2, d.size))
+    noise = np.random.default_rng(seed).standard_normal((2, d.size))
     noise *= math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
     out.real += noise[0]
     out.imag += noise[1]
@@ -307,8 +307,8 @@ _RIG_SHORT = _RIG_EXACT // 3 - 1  # under a third of the desired frame: the inte
 
 
 def _seed_drawing_delay(length, delay):
-    """The first seed from which impair draws this delay for an interferer of this length."""
-    return next(s for s in itertools.count() if np.random.default_rng(s).integers(0, length) == delay)
+    """The first seed from which impair takes this delay for an interferer of this length."""
+    return next(s for s in itertools.count() if splitmix64(s) * length >> 64 == delay)
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,8 +356,8 @@ _HEAD = gate_length(_RIG_EXACT, P, 2)  # what the sync gate reads of a one-frame
     seed=_seed_drawing_delay(_RIG_STREAM.size, _RIG_STREAM.size - 1), length=_RIG_STREAM.size, n=_HEAD, atten=10.0
 )
 def test_impair_of_a_head_is_the_head_of_impair(seed, length, n, atten):
-    # without noise the only draw is the delay, which ignores the desired length, and each output
-    # sample reads only its own inputs: the waveform sweep gates each point on such a head
+    # without noise impair draws nothing: the delay comes from the seed alone and ignores the desired
+    # length, and each output sample reads only its own inputs: the waveform sweep gates each point on such a head
     interferer = _RIG_STREAM[:length]
     head = impair(_RIG_DESIRED.samples[:n], interferer, 0.0, atten, -math.inf, seed)
     full = impair(_RIG_DESIRED, interferer, 0.0, atten, -math.inf, seed)
