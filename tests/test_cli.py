@@ -152,29 +152,29 @@ def test_modem_sync_failure_report(capsys):
     [
         (
             "--snr 15 --sir 20 --frames 8 --seed 3",
-            "modem frames=8 snr_db=15 sir_db=20 sync_failures=0 evm_rms=2.075937e-01 sinr_evm_db=13.656 "
-            "sinr_analytic_db=13.807 gap_db=-0.151",
+            "modem frames=8 snr_db=15 sir_db=20 sync_failures=0 evm_rms=2.085790e-01 sinr_evm_db=13.615 "
+            "sinr_analytic_db=13.807 gap_db=-0.192",
         ),
         (
             "--snr 20 --frames 5",
-            "modem frames=5 snr_db=20 sir_db=inf sync_failures=0 evm_rms=1.014945e-01 sinr_evm_db=19.871 "
-            "sinr_analytic_db=20.000 gap_db=-0.129",
+            "modem frames=5 snr_db=20 sir_db=inf sync_failures=0 evm_rms=1.015690e-01 sinr_evm_db=19.865 "
+            "sinr_analytic_db=20.000 gap_db=-0.135",
         ),
         (
             "--sir 0 --frames 4 --seed 2",
-            "modem frames=4 snr_db=inf sir_db=0 sync_failures=0 evm_rms=1.049003e+00 sinr_evm_db=-0.416 "
-            "sinr_analytic_db=-0.000 gap_db=-0.416",
+            "modem frames=4 snr_db=inf sir_db=0 sync_failures=0 evm_rms=1.036081e+00 sinr_evm_db=-0.308 "
+            "sinr_analytic_db=-0.000 gap_db=-0.308",
         ),
         ("--snr -20 --frames 3", "modem frames=3 snr_db=-20 sir_db=inf sync_failures=3 sync=failed"),
         (
             "--snr 3 --sir -1 --frames 6 --seed 5",
-            "modem frames=6 snr_db=3 sir_db=-1 sync_failures=2 evm_rms=1.405296e+00 sinr_evm_db=-2.955 "
-            "sinr_analytic_db=-2.455 gap_db=-0.500",
+            "modem frames=6 snr_db=3 sir_db=-1 sync_failures=5 evm_rms=1.384151e+00 sinr_evm_db=-2.824 "
+            "sinr_analytic_db=-2.455 gap_db=-0.368",
         ),
         (
             "--snr 10 --sir 5 --frames 3 --symbols 4 --seed 7",
-            "modem frames=3 snr_db=10 sir_db=5 sync_failures=0 evm_rms=7.616959e-01 sinr_evm_db=2.364 "
-            "sinr_analytic_db=3.807 gap_db=-1.442",
+            "modem frames=3 snr_db=10 sir_db=5 sync_failures=0 evm_rms=7.682029e-01 sinr_evm_db=2.290 "
+            "sinr_analytic_db=3.807 gap_db=-1.516",
         ),
     ],
 )
@@ -510,15 +510,16 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
 # and the directional-0.1 capacity files again when the rig began to replay
 # one frame per sweep with position-keyed seeds, again when it began to
 # add one receiver-noise draw per sweep (common random numbers), and again
-# when frames began to carry one FEC code block per OFDM symbol; failed-sync
-# rows have empty EVM and SINR fields.
+# when frames began to carry one FEC code block per OFDM symbol, and again
+# when every run seed came from one key rule; failed-sync rows have empty
+# EVM and SINR fields.
 WAVEFORM_CSV_SHA256 = {
     "dipole-0.1_capacity.csv": "0404d3474c8679a8be26309f6da154ba23c78b885d1b4267bb169d28e9272eee",
     "dipole-0.1_capacity_mirrored.csv": "25bcc120ab0db31534a56b3df7e7ab659a37bbf1f50e889f77495ec9f53e47b0",
     "dipole-0.1_power.csv": "e37f8ac2d54b552b9b4c335275ddc9ad03e19376ffbb0d289694e1f9652a4129",
     "dipole-0.1_power_mirrored.csv": "a93376ad4fd9b06132bef78733d8daa099987440d448a1239a100a18c14046b3",
-    "directional-0.1_capacity.csv": "8e78b70bd208b3939b93e12c22596ac8269b6ab781b5b3063e7b52d357dfc242",
-    "directional-0.1_capacity_mirrored.csv": "593b46a12c231c656d91dd3bd9b084f55c90349b099b529c5b68c6c31bab7b7f",
+    "directional-0.1_capacity.csv": "79837e9752eb7aa11658050d5c85b877da889e9dcfc4b9361f80eeb5a38a0cda",
+    "directional-0.1_capacity_mirrored.csv": "f5ecc573b38bc50d8b3b3a2f5f5de38bf5e9eeeba7f9f443c81cc4338c676aca",
     "directional-0.1_power.csv": "0f62b9869a8aa0fcdc6b95c0de6644e231284d74c6cf4913dc185034a090b0ab",
     "directional-0.1_power_mirrored.csv": "d4e2bab84c28e9c398ea67d3d91421ad1e98287cbc9fd0ab21f30d0273ff8657",
 }
@@ -528,15 +529,16 @@ WAVEFORM_CSV_SHA256 = {
 # directional presets on the default 496-point grid, by seed.  Recorded before
 # the sweep began to form its received desired signal (frame plus receiver
 # noise) once per sweep instead of at every point, and again when frames began
-# to carry one FEC code block per OFDM symbol.
+# to carry one FEC code block per OFDM symbol, and when every run seed came
+# from one key rule.
 DEFAULT_GRID_CAPACITY_CSV_SHA256 = {
     0: {
-        "directional-0.1_capacity.csv": "deed3c1970c1a6a893e30419bb1a5faae693b8666a053db536ac41a7ea5d9561",
-        "directional-1.8_capacity.csv": "e3c6ee190ccaab017e4bcc8bfdcf13e2884776ac7a18c3e0ee2388efa6e93ec4",
+        "directional-0.1_capacity.csv": "455e8b0c14044f9f24e8b6bf8d44986d524fad972d0feae853a9b8c9aca47212",
+        "directional-1.8_capacity.csv": "7499980bf826d1de378f72226fcebea061298b595c363c09c0d0c017c6cdd596",
     },
     11: {
-        "directional-0.1_capacity.csv": "59a99dccbba65b5e2f8f17e165e5b8251837114947659cf76366c7f31b058e93",
-        "directional-1.8_capacity.csv": "6519ad689d2be1f298aab4e3aebc6407e4f8e00666da9c5f00dd1151b1fd6867",
+        "directional-0.1_capacity.csv": "14b719e1b19092395601b560af3801a872700baffaea007b75f68fbd7cdbe095",
+        "directional-1.8_capacity.csv": "d0403a9f6b3d5b56b6bcee5b84adfff025f8af5f35e075a78abf09f5e86cd2b6",
     },
 }
 
