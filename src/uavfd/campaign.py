@@ -525,13 +525,22 @@ def write_sweep_csv(path, table: SweepTable) -> None:
     write_csv_columns(path, SWEEP_CSV_COLUMNS, [(getattr(table, name), spec) for name, spec in _CSV_FORMATS])
 
 
+# sweep CSV fields with a rule beyond finite; a NaN reads as unknown in any field past the first five
+_CSV_FIELD_RULES = {
+    "evm": ("finite and >= 0", lambda c: np.isfinite(c) & (c >= 0.0)),
+    "capacity_bps": ("finite and >= 0", lambda c: np.isfinite(c) & (c >= 0.0)),
+    "sync_ok": ("0 or 1", lambda c: (c == 0.0) | (c == 1.0)),
+}
+
+
 def read_sweep_csv(path) -> SweepTable:
     """Read a sweep CSV back into a table.
 
     The CSV stores reported (clamped) interference only, so the raw
     interference column reads as unknown (NaN); empty EVM, SINR, capacity
     and sync fields read as NaN.  Position and power fields are required:
-    an empty or NaN one raises ValueError.
+    an empty or NaN one raises ValueError, as does an infinite field, a
+    negative EVM or capacity, or a sync_ok other than 0 or 1.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -551,8 +560,11 @@ def read_sweep_csv(path) -> SweepTable:
         if "" in c:
             c[:] = [v or "nan" for v in c]
     cols = [np.array(c, dtype=float) for c in cols]
-    for name, c in zip(SWEEP_CSV_COLUMNS[:5], cols[:5]):
-        bad = np.flatnonzero(np.isnan(c))
-        if bad.size:
-            raise ValueError(f"{path}: row {bad[0] + 2} has a NaN {name}")
+    for j, (name, c) in enumerate(zip(SWEEP_CSV_COLUMNS, cols)):
+        if j < 5 and np.isnan(c).any():
+            raise ValueError(f"{path}: row {np.isnan(c).argmax() + 2} has a NaN {name}")
+        rule, ok = _CSV_FIELD_RULES.get(name, ("finite", np.isfinite))
+        bad = ~(ok(c) | np.isnan(c))
+        if bad.any():
+            raise ValueError(f"{path}: row {bad.argmax() + 2} has {name} {c[bad.argmax()]:g}, which must be {rule}")
     return SweepTable(*cols[:4], _unknown(len(rows)), *cols[4:])

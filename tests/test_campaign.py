@@ -646,6 +646,36 @@ def test_csv_read_rejects_a_nan_position_or_power(tmp_path, capacity_dir01_analy
         read_sweep_csv(path)
 
 
+@pytest.mark.parametrize(
+    "column,value",
+    [(c, v) for c in range(5) for v in ("inf", "-inf")]
+    + [(5, "-0.5"), (5, "inf"), (6, "inf"), (6, "-inf"), (7, "-1.000"), (7, "inf"), (8, "2"), (8, "-1"), (8, "0.5")]
+    + [(8, "inf")],
+)
+def test_csv_read_rejects_an_infinite_or_out_of_range_field(tmp_path, capacity_dir01_analytic, column, value):
+    # uavfd never writes these: place reported value=inf bps and cdf wrote a -inf step from such a file
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, capacity_dir01_analytic)
+    header, first, second, *rest = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[column] = value
+    path.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
+    with pytest.raises(ValueError, match=f"row 3 has {SWEEP_CSV_COLUMNS[column]} {float(value):g}, which must be"):
+        read_sweep_csv(path)
+
+
+def test_csv_read_keeps_unknown_and_boundary_fields(tmp_path, capacity_dir01_analytic):
+    # empty EVM, SINR, capacity and sync fields read as unknown; a zero EVM or capacity is in range
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, capacity_dir01_analytic)
+    header, first, second, *rest = path.read_text().splitlines()
+    rows = [",".join(second.split(",")[:5] + ["", "", "", ""]), ",".join(second.split(",")[:5] + ["0", "-3", "0", "0"])]
+    path.write_text("\n".join([header, first, *rows, *rest]) + "\n")
+    back = read_sweep_csv(path)
+    assert back[1].evm_rms is None and back[1].sync_ok is None
+    assert (back[2].evm_rms, back[2].sinr_db, back[2].capacity_bps, back[2].sync_ok) == (0.0, -3.0, 0.0, False)
+
+
 def test_dipole_scenario_is_interference_limited(power_dipole):
     # 27.5 dBm transmit through near-omni antennas: nothing sits at the floor
     assert all(not r.at_floor for r in power_dipole)

@@ -341,6 +341,30 @@ def test_place_rejects_a_nan_level(tmp_path, capsys, objective):
     assert "row 3 has a NaN p_int_dbm" in err
 
 
+@pytest.mark.parametrize(
+    "args,column,value",
+    [
+        (["place", "--objective", "max-capacity"], 7, "inf"),
+        (["place", "--objective", "min-interference"], 3, "-inf"),
+        (["cdf"], 3, "-inf"),
+        (["place", "--objective", "max-capacity"], 8, "2"),
+    ],
+)
+def test_cdf_and_place_reject_an_infinite_or_out_of_range_field(tmp_path, capsys, args, column, value):
+    # before, place printed value=inf bps or value=-inf dBm and cdf wrote a -inf step, each exiting 0
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    path = tmp_path / "directional-0.1_capacity.csv"
+    header, first, second, *rest = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[column] = value
+    path.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
+    code, out, err = run([args[0], str(path), *args[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"row 3 has {header.split(',')[column]} {value}, which must be" in err
+    assert not (tmp_path / "directional-0.1_capacity_cdf.csv").exists()
+
+
 def test_place_unknown_objective(tmp_path, capsys):
     run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
     code, _, err = run(
