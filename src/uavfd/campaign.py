@@ -24,15 +24,11 @@ plus noise, is formed once, each point adds only its interferer, and
 every interference-free point shares one receiver pass.  An interfered
 point first forms only the head the receiver's sync gate reads (1,088 of
 33,280 samples) and decides the gate on it; only past the gate is its
-full buffer formed and received.
-
-One key rule derives every run seed: `key_fold`, a SplitMix64 hash of
-(seed, stream, a row of integer words).  Each quantity drawn has its own
-stream.  The rig payloads and the receiver noise are streams of the sweep
-seed alone; each grid point's interferer delay and pointing error are
-streams over its position in mm (`point_keys`), so a point's result
-depends neither on evaluation order nor on the grid it was swept in.
-`uavfd modem` keys frame k's payloads and impair seed by the word k.
+full buffer formed and received.  Every run seed comes from `key_fold`, a
+SplitMix64 hash of (seed, stream, integer words): the rig payloads and
+noise from the sweep seed alone, each point's delay and pointing error
+from its position in mm (`point_keys`), so a point's result depends
+neither on evaluation order nor on the grid it was swept in.
 
 Sweep results are a `SweepTable` of float64 columns, row i being grid
 point i: x, y, h, reported and raw interference, desired power, EVM,
@@ -270,22 +266,18 @@ def grid_positions(spec: GridSpec, height_m: float) -> np.ndarray:
 
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-# streams of the key fold, one per quantity drawn.  Position-keyed: the pointing error's two Box-Muller
-# uniforms and its azimuth, and the waveform sweep's per-point impair seed (the interferer delay).
-# Keyed by the sweep seed alone, or by `uavfd modem`'s frame index: the desired and the interferer
-# payloads and impair's seed for a whole frame (the receiver noise, and in the modem the delay too).
+# key streams, one per quantity drawn: over positions, the pointing error's Box-Muller uniforms and azimuth and
+# each point's delay; over no words (a sweep) or a frame index (`uavfd modem`), two payloads and impair's seed
 _POINTING_STREAMS = (0, 1, 2)
 _DELAY_STREAM = 3
 _RIG_STREAMS = (4, 5, 6)
 
 
 def key_fold(seed: int, stream: int, words) -> np.ndarray:
-    """One uint64 key per row of an (N, W) block of integer words, from (seed, stream, the row's words).
+    """One uint64 key per row of an (N, W) block of integer words: the one rule for every run seed.
 
-    The words (the seed's 64-bit limbs, stream, then the row's W words) are
-    folded in one at a time: xor into the key, add the golden gamma, mix
-    with `splitmix64`, all in uint64 arithmetic that wraps mod 2**64.  A key
-    depends on its own row only.  This fold derives every run seed.
+    The seed's 64-bit limbs, stream, then the row's words are folded in one
+    at a time: xor into the key, add the golden gamma, mix with `splitmix64`.
     """
     limbs = [seed >> s & _U64 for s in range(0, max(seed.bit_length(), 1), 64)]
     key = np.zeros(len(words), dtype=np.uint64)

@@ -99,14 +99,10 @@ def _coerce(path: Path, key: str, value: str, lineno: int, kind):
 
 def _overrides(path: Path, entries: dict[str, tuple[str, int]], keys: dict) -> dict:
     """Coerced `field: value` pairs for the keys of one table that the file sets."""
-    return {
-        field: _coerce(path, key, *entries[key], kind) for key, (field, kind) in keys.items() if key in entries
-    }
+    return {field: _coerce(path, key, *entries[key], kind) for key, (field, kind) in keys.items() if key in entries}
 
 
-def load_run_config(
-    path, presets: dict[str, ScenarioConfig], scenario_flag: str | None
-) -> RunConfig:
+def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str | None) -> RunConfig:
     """Build a RunConfig from a config file plus the --scenario flag.
 
     The flag wins over the file's `scenario` key; everything else in the
@@ -208,9 +204,7 @@ def _cmd_cdf(args) -> int:
     except (OSError, ValueError) as e:
         raise DataError(str(e)) from e
     table = cdf(values)
-    out = Path(args.out) if args.out else Path(args.sweep_csv).with_suffix("").with_name(
-        Path(args.sweep_csv).stem + "_cdf.csv"
-    )
+    out = Path(args.out or Path(args.sweep_csv).with_name(Path(args.sweep_csv).stem + "_cdf.csv"))
     steps, fracs = np.array(table).T
     write_csv_columns(out, ["value_dbm", "cum_fraction"], [(steps, ".4f"), (fracs, ".6f")])
     coverage = cdf_at(values, args.threshold)
@@ -252,10 +246,7 @@ def _cmd_modem(args) -> int:
     # so an SIR of 0 dB without noise prints sinr_analytic_db=-0.000
     sinr_ref = sinr_analytic(-0.0, -args.sir, -args.snr)
     gap = sinr_evm - sinr_ref
-    print(
-        head
-        + f" evm_rms={evm:.6e} sinr_evm_db={sinr_evm:.3f} sinr_analytic_db={sinr_ref:.3f} gap_db={gap:+.3f}"
-    )
+    print(head + f" evm_rms={evm:.6e} sinr_evm_db={sinr_evm:.3f} sinr_analytic_db={sinr_ref:.3f} gap_db={gap:+.3f}")
     return 0
 
 
@@ -290,9 +281,7 @@ def _cmd_place(args) -> int:
     except ValueError as e:  # max-capacity over a row without capacity, e.g. a power sweep CSV
         raise DataError(f"{args.sweep_csv}: {e}") from e
     region = feasible_region(table, args.threshold)
-    out = Path(args.out) if args.out else Path(args.sweep_csv).with_name(
-        Path(args.sweep_csv).stem + "_region.csv"
-    )
+    out = Path(args.out or Path(args.sweep_csv).with_name(Path(args.sweep_csv).stem + "_region.csv"))
     write_csv_columns(out, ["x_m", "y_m", "h_m"], [(region.x, ".3f"), (region.y, ".3f"), (region.h, ".3f")])
     print(f"wrote {out} ({len(region)} feasible positions, threshold {args.threshold:.2f} dBm)")
     unit = "dBm" if kind is ObjectiveKind.MIN_INTERFERENCE else "bps"
@@ -376,11 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("place", help="feasible region and best interferer position from a sweep CSV")
     p.add_argument("sweep_csv")
-    p.add_argument(
-        "--objective",
-        default=ObjectiveKind.MIN_INTERFERENCE.value,
-        help="min-interference | max-capacity",
-    )
+    p.add_argument("--objective", default=ObjectiveKind.MIN_INTERFERENCE.value, help="min-interference | max-capacity")
     p.add_argument("--threshold", type=_threshold, default=-95.0)
     p.add_argument("--out", help="region CSV path")
     p.set_defaults(func=_cmd_place)

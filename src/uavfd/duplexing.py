@@ -83,24 +83,16 @@ def build_channel_plan(n_uavs: int, min_separation: int = DEFAULT_MIN_SEPARATION
         for i in range(1, n_slots + stride + 1)
     )
 
-    assignments = []
-    pairs = []
+    assignments, pairs = [], []
     for slot in range(1, n_slots + 1):
         lo, hi = slot, slot + stride
-        a = 2 * slot - 1
-        b = 2 * slot
+        a, b = 2 * slot - 1, 2 * slot
         assignments.append(Assignment(uav=a, uplink=lo, downlink=hi))
         if b <= n_uavs:
             assignments.append(Assignment(uav=b, uplink=hi, downlink=lo))
             pairs.append((a, b))
 
-    return ChannelPlan(
-        n_uavs=n_uavs,
-        channels=channels,
-        assignments=tuple(assignments),
-        pairs=tuple(pairs),
-        min_separation=min_separation,
-    )
+    return ChannelPlan(n_uavs, channels, tuple(assignments), tuple(pairs), min_separation)
 
 
 def interference_edges(plan: ChannelPlan) -> list[InterferenceEdge]:
@@ -110,13 +102,11 @@ def interference_edges(plan: ChannelPlan) -> list[InterferenceEdge]:
     into b's downlink on their shared channel, and the reverse on the other
     shared channel.
     """
-    edges = []
-    for a, b in plan.pairs:
-        asn_a = plan.assignment_for(a)
-        asn_b = plan.assignment_for(b)
-        edges.append(InterferenceEdge(source_uav=a, victim_uav=b, channel=asn_a.uplink))
-        edges.append(InterferenceEdge(source_uav=b, victim_uav=a, channel=asn_b.uplink))
-    return edges
+    return [
+        InterferenceEdge(source_uav=src, victim_uav=dst, channel=plan.assignment_for(src).uplink)
+        for a, b in plan.pairs
+        for src, dst in ((a, b), (b, a))
+    ]
 
 
 def validate_plan(plan: ChannelPlan) -> list[str]:
@@ -143,16 +133,13 @@ def validate_plan(plan: ChannelPlan) -> list[str]:
         uplink_users.setdefault(asn.uplink, []).append(asn.uav)
         downlink_users.setdefault(asn.downlink, []).append(asn.uav)
 
-    for ch, users in sorted(uplink_users.items()):
-        if len(users) > 1:
-            violations.append(f"Ch{ch}: used by more than one uplink (UAVs {users})")
-    for ch, users in sorted(downlink_users.items()):
-        if len(users) > 1:
-            violations.append(f"Ch{ch}: used by more than one downlink (UAVs {users})")
+    for label, owners in (("uplink", uplink_users), ("downlink", downlink_users)):
+        for ch, users in sorted(owners.items()):
+            if len(users) > 1:
+                violations.append(f"Ch{ch}: used by more than one {label} (UAVs {users})")
 
     for a, b in plan.pairs:
-        asn_a = plan.assignment_for(a)
-        asn_b = plan.assignment_for(b)
+        asn_a, asn_b = plan.assignment_for(a), plan.assignment_for(b)
         if asn_a.uplink != asn_b.downlink or asn_a.downlink != asn_b.uplink:
             violations.append(f"pair (UAV#{a}, UAV#{b}): channels are not cross-reused")
 

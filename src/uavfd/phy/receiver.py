@@ -214,9 +214,7 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
     align = np.angle(np.sum(h_per_symbol * np.conj(h_per_symbol[0])[None, :], axis=1))
     h_pilot = np.mean(h_per_symbol * np.exp(-1j * align)[:, None], axis=0)
     all_pos = np.arange(params.active_subcarriers)
-    h_active = np.interp(all_pos, pilot_pos, h_pilot.real) + 1j * np.interp(
-        all_pos, pilot_pos, h_pilot.imag
-    )
+    h_active = np.interp(all_pos, pilot_pos, h_pilot.real) + 1j * np.interp(all_pos, pilot_pos, h_pilot.imag)
     h_data = h_active[data_pos]
     h_p = h_active[pilot_pos]
 
@@ -232,9 +230,4 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
         llr = demap_16qam(y_eq.ravel()).reshape(n_symbols, -1)
         payload = fec_decode(llr).ravel()
 
-    return RxResult(
-        sync_success=True,
-        sync_metric=fit_metric,
-        evm_rms=evm,
-        payload=payload,
-    )
+    return RxResult(sync_success=True, sync_metric=fit_metric, evm_rms=evm, payload=payload)
