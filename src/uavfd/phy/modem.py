@@ -28,11 +28,11 @@ _QAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 # 16QAM point of each 4-bit pattern (I0, I1, Q0, Q1) read as a binary number
 _GRAY_LEVELS = np.array([1.0, 3.0, -1.0, -3.0])  # (1-2*u0)*(1+2*u1) for u0u1 = 00, 01, 10, 11
 _QAM_POINTS = (_GRAY_LEVELS.repeat(4) + 1j * np.tile(_GRAY_LEVELS, 4)) * _QAM_SCALE
+_U64 = (1 << 64) - 1  # splitmix64 works mod 2**64
 
 # fixed waveform constants, not run seeds: they seed the pilot and preamble sequences
 _PILOT_SEED = 0x0FD1
 _PREAMBLE_SEED = 0x0FD2
-_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
