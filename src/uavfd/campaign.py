@@ -21,10 +21,11 @@ including the possibility of synchronization failure.  Like the SDR rig,
 it replays one frame per sweep, and it draws the receiver noise once per
 sweep too (common random numbers): the received desired signal, frame
 plus noise, is formed once, each point adds only its interferer, and
-every interference-free point shares one receiver pass.  An interfered
-point first forms only the head the receiver's sync gate reads (1,088 of
-33,280 samples) and decides the gate on it; only past the gate is its
-full buffer formed and received.  Every run seed comes from `key_fold`, a
+every interference-free point shares one receiver pass.  The interfered
+points' heads, the 1,088 of 33,280 samples the receiver's sync gate
+reads, are formed and gated as the rows of one array per chunk of
+GATE_CHUNK_ROWS; only a point whose head passes has its full buffer
+formed and received.  Every run seed comes from `key_fold`, a
 SplitMix64 hash of (seed, stream, integer words): the rig payloads and
 noise from the sweep seed alone, each point's delay and pointing error
 from its position in mm (`point_keys`), so a point's result depends
@@ -45,6 +46,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .antenna import AntennaSpec, dipole, horn, perturb_pointing
 from .geometry import Position, distance
@@ -59,7 +61,7 @@ from .metrics import (
 )
 from .phy import SYNC_THRESHOLD, FrameBuffer, OfdmParams, RxResult, build_frame, gate_length, gate_metric
 from .phy import impair, receive_frame
-from .phy.modem import _U64, splitmix64
+from .phy.modem import _U64, interferer_delay, splitmix64
 from .propagation import NodeConfig, fspl_db, link_gain_db, noise_floor_dbm
 
 GS_POSITION = Position(0.0, 0.0, 0.1)
@@ -70,6 +72,7 @@ RX2_POSITION = Position(60.0, 0.0, 0.1)
 NEAR_FIELD_DISTANCE_M = 1.0
 
 FRAME_SYMBOLS = 28  # OFDM data symbols per frame of the waveform capacity sweep
+GATE_CHUNK_ROWS = 8  # interfered heads per batched sync-gate call of the waveform sweep
 
 SWEEP_CSV_COLUMNS = ["x_m", "y_m", "h_m", "p_int_dbm", "p_des_dbm", "evm", "sinr_db", "capacity_bps", "sync_ok"]
 
@@ -380,6 +383,7 @@ def rig_frame(
     The interfering uplink is a free-running co-channel modem: the victim
     sees its continuous data stream, not a preamble.
     """
+    _retain_freed_heap()  # every waveform sweep and `uavfd modem` frame passes here
     payload_bits = params.payload_bits(n_symbols)
     frame = build_frame(params, np.random.default_rng(payload_seeds[0]).integers(0, 2, payload_bits))
     if not interferer:
@@ -399,9 +403,30 @@ def measure_link(
     or atten_interferer_db is inf.  Returns the impaired samples and the
     receiver result (EVM only, no decoding).
     """
-    _retain_freed_heap()
     mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise_dbm, seed)
     return mixed, receive_frame(mixed, frame.params, frame.data_symbols, decode=False)
+
+
+def _head_metrics(desired: np.ndarray, interferer: np.ndarray, params: OfdmParams, points) -> np.ndarray:
+    """The sync gate's metric on each interfered point's head; a point is a (delay key, interference dBm) pair.
+
+    A head is the desired head plus the interferer delayed by
+    `interferer_delay(key, n)` at impair's Python-float gain: with no noise
+    drawn per point, bit for bit the head of what `measure_link` receives.
+    GATE_CHUNK_ROWS heads go to each `gate_metric` call.
+    """
+    head = gate_length(desired.size, params, FRAME_SYMBOLS)
+    n = interferer.size
+    # row d of these windows over the interferer repeated to n + head samples is i[(k - d) mod n]
+    windows = sliding_window_view(np.resize(interferer, n + head), head)[::-1]
+    delays = np.array([interferer_delay(key, n) for key, _ in points], dtype=np.intp)
+    gains = np.array([10.0 ** (level / 20.0) for _, level in points])
+    metrics = np.empty(len(delays))
+    for c in range(0, len(delays), GATE_CHUNK_ROWS):
+        mixed = windows[delays[c : c + GATE_CHUNK_ROWS]] * gains[c : c + GATE_CHUNK_ROWS, None]
+        mixed += desired[:head]
+        metrics[c : c + GATE_CHUNK_ROWS] = gate_metric(mixed, params)
+    return metrics
 
 
 def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
@@ -447,19 +472,15 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         received = replace(frame, samples=desired)
         keys = point_keys(seed, _DELAY_STREAM, np.column_stack((table.x, table.y, table.h))).tolist()
         intf = i_dbm.tolist()
-        head = gate_length(desired.size, params, FRAME_SYMBOLS)
+        # an interfered point whose head fails the sync gate stops there; the others take the full pass
+        interfered = np.flatnonzero(i_dbm > -math.inf).tolist()
+        table.sync_ok[interfered] = 0.0
+        metrics = _head_metrics(desired, interferer, params, [(keys[i], intf[i]) for i in interfered])
+        passed = [[i] for i, m in zip(interfered, metrics.tolist()) if m >= SYNC_THRESHOLD]
         # every interference-free point sees the same rig input, so one pass serves them all
         clean = np.flatnonzero(i_dbm == -math.inf)
-        passes = ([clean] if clean.size else []) + [[i] for i in np.flatnonzero(i_dbm > -math.inf).tolist()]
-        for rows in passes:
+        for rows in ([clean] if clean.size else []) + passed:
             i = rows[0]
-            # no noise is drawn per point and the delay ignores the desired length, so impair's output over
-            # the head is the head of its output: a point whose head fails the sync gate stops there
-            if intf[i] > -math.inf:
-                mixed_head = impair(desired[:head], interferer, 0.0, -intf[i], -math.inf, keys[i])
-                if gate_metric(mixed_head, params) < SYNC_THRESHOLD:
-                    table.sync_ok[i] = 0.0
-                    continue
             _, rx = measure_link(received, interferer, 0.0, -intf[i], -math.inf, keys[i])
             table.sync_ok[rows] = rx.sync_success
             if rx.sync_success:

@@ -285,6 +285,11 @@ def splitmix64(z):
     return z ^ (z >> 31)
 
 
+def interferer_delay(seed: int, n: int) -> int:
+    """`impair`'s delay d, uniform on [0, n), of an n-sample interferer: its sample k becomes i[(k - d) mod n]."""
+    return splitmix64(operator.index(seed)) * n >> 64
+
+
 def impair(
     desired,
     interferer,
@@ -297,9 +302,8 @@ def impair(
 
     Power accounting is relative to the 0 dBm unit-power reference: a frame
     attenuated by A dB arrives at -A dBm.  The interferer is circularly
-    shifted by a delay uniform on [0, len(interferer)), taken straight from
-    the int seed as (splitmix64(seed) * len(interferer)) >> 64, and repeated
-    or cut to the desired signal's length, modeling an unsynchronized
+    shifted by `interferer_delay(seed, len(interferer))` and repeated or
+    cut to the desired signal's length, modeling an unsynchronized
     transmitter.  Noise is circular complex Gaussian with total power
     noise_power_dbm, I then Q drawn from default_rng(seed), which is built
     only when noise is drawn.  A given seed always gives the same output.
@@ -309,7 +313,7 @@ def impair(
 
     if interferer is not None and atten_interferer_db != math.inf:
         i = _as_samples(interferer)
-        delay = splitmix64(operator.index(seed)) * i.size >> 64
+        delay = interferer_delay(seed, i.size)
         gain = 10.0 ** (-atten_interferer_db / 20.0)
         # sample k is i[(k - delay) mod len(i)]: added one contiguous run per wrap of the interferer
         k, src = 0, -delay % i.size

@@ -14,9 +14,10 @@ plus the refinement half-width, since a later peak refines past `slack`.  If
 the metric stays under the threshold there, the link is down without the
 full-buffer search.  Running sums over a prefix are bit for bit the prefix
 of the full ones, so this decides exactly what the full search would.
-`gate_length` and `gate_metric` are that gate; the waveform sweep calls
-them on each interfered point's head, 1,088 samples of a one-frame buffer,
-and forms the point's full buffer only when the head passes.
+`gate_length` and `gate_metric` are that gate.  The timing metric works
+along the last axis, so the waveform sweep gates its interfered points'
+heads (1,088 samples of a one-frame buffer each) as the rows of one array
+per chunk, and forms a point's full buffer only when its head passes.
 
 Frequency-offset de-rotation is applied only where it is used: to the
 matched-filter window in `synchronize` (one row) and to the FFT windows
@@ -79,23 +80,25 @@ def _refine_window(params: OfdmParams) -> int:
 
 
 def _timing_metric(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-lag correlation p[d] and timing metric |p[d]|/r[d] at every start d <= x.size - 2*half.
+    """Half-lag correlation p[d] and timing metric |p[d]|/r[d] at every start d <= n - 2*half of x's last axis.
 
-    Both come from running sums, and a running sum over a prefix of x is
-    bit for bit the prefix of the one over all of x, so the metric of a
-    head of the buffer equals the whole buffer's metric at those starts.
+    An (R, n) x gives the 1-D results of its R rows.  Both come from running
+    sums, and a running sum over a prefix of x is bit for bit the prefix of
+    the one over all of x, so the metric of a head of the buffer equals the
+    whole buffer's metric at those starts.
     """
-    cs = np.empty(x.size - half + 1, dtype=np.complex128)  # cs[k] sums the first k terms
-    cs[0] = 0.0
-    prod = np.conj(x[:-half])
-    prod *= x[half:]
-    np.cumsum(prod, out=cs[1:])
-    p = cs[half:] - cs[:-half]  # p[d] = sum over m<half of conj(x[d+m]) x[d+m+half]
+    n = x.shape[-1]
+    cs = np.empty((*x.shape[:-1], n - half + 1), dtype=np.complex128)  # cs[..., k] sums the first k terms
+    cs[..., 0] = 0.0
+    prod = np.conj(x[..., :-half])
+    prod *= x[..., half:]
+    np.cumsum(prod, axis=-1, out=cs[..., 1:])
+    p = cs[..., half:] - cs[..., :-half]  # p[d] = sum over m<half of conj(x[d+m]) x[d+m+half]
 
-    es = np.empty(x.size + 1)
-    es[0] = 0.0
-    np.cumsum(np.abs(x) ** 2, out=es[1:])
-    r = es[2 * half :] - es[half:-half]  # trailing-half energy
+    es = np.empty((*x.shape[:-1], n + 1))
+    es[..., 0] = 0.0
+    np.cumsum(np.abs(x) ** 2, axis=-1, out=es[..., 1:])
+    r = es[..., 2 * half :] - es[..., half:-half]  # trailing-half energy
 
     metric = np.abs(p)
     metric /= np.maximum(r, _ENERGY_EPS, out=r)
@@ -113,10 +116,13 @@ def gate_length(size: int, params: OfdmParams, n_symbols: int) -> int:
     return size - params.frame_samples(n_symbols) + _refine_window(params) + params.fft_size
 
 
-def gate_metric(head: np.ndarray, params: OfdmParams) -> float:
-    """The sync gate's peak timing metric over every start of a head of at least fft_size samples."""
-    metric = _timing_metric(head, params.fft_size // 2)[1]
-    return float(metric[np.argmax(metric)])
+def gate_metric(head: np.ndarray, params: OfdmParams):
+    """The sync gate's peak timing metric over every start of a head of at least fft_size samples.
+
+    A 1-D head gives a float, an (R, L) array of heads an array of R peaks.
+    """
+    peak = np.max(_timing_metric(head, params.fft_size // 2)[1], axis=-1)
+    return float(peak) if peak.ndim == 0 else peak
 
 
 def synchronize(samples, params: OfdmParams) -> SyncResult:

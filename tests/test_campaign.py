@@ -511,6 +511,18 @@ def test_receiver_noise_is_drawn_once_per_sweep(scenarios):
     assert np.ptp(table.evm_rms) <= 1e-9 * table.evm_rms.mean()
 
 
+def _count_gate_rows(monkeypatch):
+    """Patch the sweep's gate with a wrapper; returns the list of each call's (rows, head length) and metrics."""
+    calls = []
+
+    def counted(heads, params):
+        calls.append((heads.shape, gate_metric(heads, params)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(campaign, "gate_metric", counted)
+    return calls
+
+
 def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, scenarios):
     calls = []
 
@@ -519,27 +531,24 @@ def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, sce
         return receive_frame(*args, **kwargs)
 
     monkeypatch.setattr(campaign, "receive_frame", counted)
-    metrics = []
-
-    def gate_counted(*args, **kwargs):
-        metrics.append(gate_metric(*args, **kwargs))
-        return metrics[-1]
-
-    monkeypatch.setattr(campaign, "gate_metric", gate_counted)
+    gated = _count_gate_rows(monkeypatch)
     grid = GridSpec(x_start_m=10, x_end_m=30, y_end_m=30)
     table = run_capacity_sweep(replace(scenarios["directional-0.1"], engine="waveform"), grid, seed=2)
     interfered = np.count_nonzero(table.interference_raw_dbm >= scenarios["directional-0.1"].floor_dbm)
     assert 0 < interfered < len(table) - 1
-    # each interfered point's head meets the gate once; only those that pass get a receiver pass
-    passed = sum(m >= SYNC_THRESHOLD for m in metrics)
-    assert len(metrics) == interfered and 0 < passed < interfered
+    # each interfered point's head meets the gate once, one batched call per chunk of rows;
+    # only those that pass get a receiver pass
+    metrics = np.concatenate([m for _, m in gated])
+    passed = np.count_nonzero(metrics >= SYNC_THRESHOLD)
+    assert metrics.size == interfered and 0 < passed < interfered
+    assert len(gated) == -(-interfered // campaign.GATE_CHUNK_ROWS)
     assert len(calls) == passed + 1
 
 
 @pytest.mark.parametrize("name,full,heads", [("dipole-0.1", 1, 496), ("directional-0.1", 81, 140)])
 def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenarios, grid, name, full, heads):
     # the full-length calls are the received desired signal, the interference-free pass and each
-    # interfered point whose head passes the gate; every interfered point forms its head
+    # interfered point whose head passes the gate; every interfered point's head is a row of a batched gate
     sizes = []
 
     def counted(desired, *args, **kwargs):
@@ -547,10 +556,13 @@ def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenari
         return impair(desired, *args, **kwargs)
 
     monkeypatch.setattr(campaign, "impair", counted)
+    gated = _count_gate_rows(monkeypatch)
     run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed=0)
     frame = OfdmParams().frame_samples(campaign.FRAME_SYMBOLS)
     assert gate_length(frame, OfdmParams(), campaign.FRAME_SYMBOLS) == 1088
-    assert (sizes.count(frame), sizes.count(1088), len(sizes)) == (full, heads, full + heads)
+    assert (sizes.count(frame), len(sizes)) == (full, full)
+    chunk = campaign.GATE_CHUNK_ROWS
+    assert [shape for shape, _ in gated] == [(min(chunk, heads - c), 1088) for c in range(0, heads, chunk)]
 
 
 @pytest.mark.parametrize("name,seed", [("dipole-0.1", 3), ("directional-0.1", 3), ("directional-1.8", 11)])
@@ -558,10 +570,70 @@ def test_head_gate_changes_no_row(monkeypatch, scenarios, grid, name, seed):
     # with the head gate always passed, every interfered point takes the full receiver pass
     scenario = replace(scenarios[name], engine="waveform")
     gated = run_capacity_sweep(scenario, grid, seed)
-    monkeypatch.setattr(campaign, "gate_metric", lambda head, params: math.inf)
+    forced = []
+
+    def always_passed(heads, params):
+        forced.append(len(heads))
+        return np.full(len(heads), math.inf)
+
+    monkeypatch.setattr(campaign, "gate_metric", always_passed)
     full = run_capacity_sweep(scenario, grid, seed)
+    assert sum(forced) == np.count_nonzero(gated.interference_raw_dbm >= scenario.floor_dbm) > 0
     for a, b in zip(gated.columns(), full.columns()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["dipole-0.1", "directional-0.1", "directional-1.8"])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, grid, name, seed):
+    """Each batched head metric is bit for bit the gate metric of that point's own impair head."""
+    seen = []
+    head_metrics = campaign._head_metrics
+
+    def recorded(desired, interferer, params, points):
+        seen.append((desired, interferer, params, points, head_metrics(desired, interferer, params, points)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(campaign, "_head_metrics", recorded)
+    run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed)
+    [(desired, interferer, params, points, batched)] = seen
+    head = gate_length(desired.size, params, campaign.FRAME_SYMBOLS)
+    assert len(points) == batched.size > 100
+    for (key, i_dbm), m in zip(points, batched.tolist()):
+        mixed = impair(desired[:head], interferer, 0.0, -i_dbm, -math.inf, key)
+        want = gate_metric(mixed, params)
+        assert isinstance(want, float) and m.hex() == want.hex()
+
+
+_SMALL_GRID = GridSpec(x_step_m=6.0, y_step_m=6.0)
+_CHUNK_REFERENCE = {}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(["dipole-0.1", "directional-0.1", "directional-1.8"]),
+    seed=st.sampled_from([0, 5, 11]),
+    chunk=st.sampled_from([1, 7, 16, None]),
+)
+def test_gate_chunk_size_changes_no_table_bit(scenarios, name, seed, chunk):
+    scenario = replace(scenarios[name], engine="waveform")
+    if (name, seed) not in _CHUNK_REFERENCE:
+        _CHUNK_REFERENCE[name, seed] = run_capacity_sweep(scenario, _SMALL_GRID, seed)
+    ref = _CHUNK_REFERENCE[name, seed]
+    interfered = np.count_nonzero(ref.interference_raw_dbm >= scenario.floor_dbm)
+    assert interfered > 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(campaign, "GATE_CHUNK_ROWS", interfered if chunk is None else chunk)  # None: every head at once
+        table = run_capacity_sweep(scenario, _SMALL_GRID, seed)
+    for a, b in zip(ref.columns(), table.columns()):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_waveform_sweep_retains_the_freed_heap(scenarios, grid):
+    # a dipole sweep never reaches measure_link, yet its passes must not give the heap back either
+    campaign._retain_freed_heap.cache_clear()
+    run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid)
+    assert campaign._retain_freed_heap.cache_info().misses == 1
 
 
 def test_mirror_symmetry(power_dir01):

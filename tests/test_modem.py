@@ -24,7 +24,15 @@ from uavfd.phy import (
 )
 from uavfd.phy import receiver
 from uavfd.phy.fec import TAIL_BITS
-from uavfd.phy.modem import BITS_PER_SYMBOL, _QAM_SCALE, _pilot_matrix, _preamble, _subcarrier_maps, splitmix64
+from uavfd.phy.modem import (
+    BITS_PER_SYMBOL,
+    _QAM_SCALE,
+    _pilot_matrix,
+    _preamble,
+    _subcarrier_maps,
+    interferer_delay,
+    splitmix64,
+)
 from uavfd.phy.receiver import _derotate, _refine_window, _timing_metric
 
 P = OfdmParams()
@@ -282,6 +290,18 @@ def test_impair_leaves_inputs_untouched(interferer_kind, seed):
     assert np.array_equal(fb.samples, desired_before)
     assert np.array_equal(interferer, interferer_before)
     assert not np.shares_memory(out, fb.samples) and not np.shares_memory(out, interferer)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1088, 32256])
+def test_interferer_delay_is_the_delay_impair_applies(n):
+    # a ramp interferer on a zero desired signal: output sample 0 is i[-delay mod n]
+    ramp = np.arange(n, dtype=np.complex128)
+    for seed in [0, 1, 77, 2**63 + 5, *range(1000, 1040)]:
+        delay = interferer_delay(seed, n)
+        assert delay == splitmix64(seed) * n >> 64 and 0 <= delay < n
+        out = impair(np.zeros(2 * n + 3, complex), ramp, 0.0, 0.0, seed=seed)
+        assert out[0].real == -delay % n
+        assert np.array_equal(out, ramp[(np.arange(out.size) - delay) % n])
 
 
 def _reference_impair(desired, interferer, atten_desired_db, atten_interferer_db, noise_power_dbm, seed):
@@ -558,6 +578,23 @@ def test_receive_frame_syncs_exactly_when_the_full_search_fits_a_frame(shape):
     # every outcome the buffer shape allows occurs: a short buffer never fits the frame, even
     # where synchronize finds its preamble
     assert outcomes == ({(True, False), (False, False)} if shape == "short" else {(True, True), (False, False)})
+
+
+@pytest.mark.parametrize("rows,length", [(1, 1024), (3, 1088), (8, 1088), (16, 1500)])
+def test_a_gate_metric_row_is_the_1d_call_on_that_head(rows, length):
+    rng = np.random.default_rng(rows * length)
+    heads = np.array([_gate_buffer("exact", rng)[:length] for _ in range(rows)])
+    heads[0] = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    batched = gate_metric(heads, P)
+    assert batched.shape == (rows,)
+    for head, m in zip(heads, batched.tolist()):
+        one = gate_metric(head, P)
+        assert isinstance(one, float) and m.hex() == one.hex()
+    p, metric = _timing_metric(heads, P.fft_size // 2)
+    for r, head in enumerate(heads):
+        p1, metric1 = _timing_metric(head, P.fft_size // 2)
+        assert np.array_equal(p[r].view(np.int64), p1.view(np.int64))
+        assert np.array_equal(metric[r].view(np.int64), metric1.view(np.int64))
 
 
 @pytest.mark.parametrize("n_symbols", [2, 28])
