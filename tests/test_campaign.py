@@ -512,7 +512,7 @@ def test_receiver_noise_is_drawn_once_per_sweep(scenarios):
 
 
 def _count_gate_rows(monkeypatch):
-    """Patch the sweep's gate with a wrapper; returns the list of each call's (rows, head length) and metrics."""
+    """Wrap the sweep's gate; the returned list gets each call's (heads shape, metrics)."""
     calls = []
 
     def counted(heads, params):
