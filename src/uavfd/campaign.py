@@ -407,8 +407,8 @@ def measure_link(
     return mixed, receive_frame(mixed, frame.params, frame.data_symbols, decode=False)
 
 
-def _head_metrics(desired: np.ndarray, interferer: np.ndarray, params: OfdmParams, points) -> np.ndarray:
-    """The sync gate's metric on each interfered point's head; a point is a (delay key, interference dBm) pair.
+def _head_metrics(desired: np.ndarray, interferer: np.ndarray, params: OfdmParams, keys, levels) -> np.ndarray:
+    """The sync gate's metric on each interfered point's head, given its uint64 delay key and interference dBm.
 
     A head is the desired head plus the interferer delayed by
     `interferer_delay(key, n)` at impair's Python-float gain: with no noise
@@ -419,8 +419,8 @@ def _head_metrics(desired: np.ndarray, interferer: np.ndarray, params: OfdmParam
     n = interferer.size
     # row d of these windows over the interferer repeated to n + head samples is i[(k - d) mod n]
     windows = sliding_window_view(np.resize(interferer, n + head), head)[::-1]
-    delays = np.array([interferer_delay(key, n) for key, _ in points], dtype=np.intp)
-    gains = np.array([10.0 ** (level / 20.0) for _, level in points])
+    delays = interferer_delay(keys, n).astype(np.intp)
+    gains = np.array([10.0 ** (level / 20.0) for level in levels])
     metrics = np.empty(len(delays))
     for c in range(0, len(delays), GATE_CHUNK_ROWS):
         mixed = windows[delays[c : c + GATE_CHUNK_ROWS]] * gains[c : c + GATE_CHUNK_ROWS, None]
@@ -470,12 +470,12 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
         desired = impair(frame, None, -table.desired_dbm[0].item(), math.inf, noise_wave_dbm, noise_seed)
         received = replace(frame, samples=desired)
-        keys = point_keys(seed, _DELAY_STREAM, np.column_stack((table.x, table.y, table.h))).tolist()
-        intf = i_dbm.tolist()
+        key_array = point_keys(seed, _DELAY_STREAM, np.column_stack((table.x, table.y, table.h)))
+        keys, intf = key_array.tolist(), i_dbm.tolist()
         # an interfered point whose head fails the sync gate stops there; the others take the full pass
         interfered = np.flatnonzero(i_dbm > -math.inf).tolist()
         table.sync_ok[interfered] = 0.0
-        metrics = _head_metrics(desired, interferer, params, [(keys[i], intf[i]) for i in interfered])
+        metrics = _head_metrics(desired, interferer, params, key_array[interfered], [intf[i] for i in interfered])
         passed = [[i] for i, m in zip(interfered, metrics.tolist()) if m >= SYNC_THRESHOLD]
         # every interference-free point sees the same rig input, so one pass serves them all
         clean = np.flatnonzero(i_dbm == -math.inf)

@@ -285,9 +285,13 @@ def splitmix64(z):
     return z ^ (z >> 31)
 
 
-def interferer_delay(seed: int, n: int) -> int:
-    """`impair`'s delay d, uniform on [0, n), of an n-sample interferer: its sample k becomes i[(k - d) mod n]."""
-    return splitmix64(operator.index(seed)) * n >> 64
+def interferer_delay(seed, n: int):
+    """`impair`'s delay d = splitmix64(seed) * n >> 64, uniform on [0, n): the delayed sample k is i[(k - d) mod n].
+
+    seed is an int, or a uint64 array for n < 2**32, whose product is formed exactly in 32-bit halves.
+    """
+    z = splitmix64(seed if isinstance(seed, np.ndarray) else operator.index(seed))
+    return ((z >> 32) * n + ((z & 0xFFFFFFFF) * n >> 32)) >> 32
 
 
 def impair(

@@ -8,16 +8,15 @@ when the peak stays under the threshold, which is exactly what happens
 when co-channel interference swamps the preamble.  A matched-filter pass
 against the known preamble then refines the coarse peak to the sample.
 
-`receive_frame` first searches only the coarse starts from which the frame
-can still fit: up to `slack + window`, the buffer's length beyond one frame
-plus the refinement half-width, since a later peak refines past `slack`.  If
-the metric stays under the threshold there, the link is down without the
-full-buffer search.  Running sums over a prefix are bit for bit the prefix
-of the full ones, so this decides exactly what the full search would.
-`gate_length` and `gate_metric` are that gate.  The timing metric works
-along the last axis, so the waveform sweep gates its interfered points'
-heads (1,088 samples of a one-frame buffer each) as the rows of one array
-per chunk, and forms a point's full buffer only when its head passes.
+The coarse search covers only the starts from which the frame fits: up to
+`slack + window`, the buffer's length beyond one frame plus the refinement
+half-width, since a later peak refines past `slack`.  As in the constrained
+maximum-likelihood timing of Schmidl & Cox (IEEE Trans. Commun. 45(12),
+1997), a stronger peak where the frame cannot fit never captures the start.
+`gate_metric` of the first `gate_length` samples is the peak `synchronize`
+thresholds; it works along the last axis, so the waveform sweep gates its
+interfered points' heads (1,088 samples each) as the rows of one array per
+chunk and forms a point's full buffer only when its head passes.
 
 Frequency-offset de-rotation is applied only where it is used: to the
 matched-filter window in `synchronize` (one row) and to the FFT windows
@@ -55,8 +54,7 @@ class SyncResult:
 @dataclass(frozen=True)
 class RxResult:
     sync_success: bool
-    # peak timing metric over the coarse starts from which the frame can fit in the buffer (0.0 if
-    # there are none); on success it is synchronize's peak over the whole buffer
+    # synchronize's peak timing metric over the coarse starts from which the frame can fit (0.0 if none)
     sync_metric: float
     evm_rms: float | None = None
     payload: np.ndarray | None = None
@@ -106,18 +104,18 @@ def _timing_metric(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gate_length(size: int, params: OfdmParams, n_symbols: int) -> int:
-    """Samples the sync gate reads of a size-sample buffer holding an n_symbols frame.
+    """Samples `synchronize`'s coarse search reads of a size-sample buffer holding an n_symbols frame.
 
-    The gate's coarse starts run up to `last`: the buffer's length beyond
-    one frame plus the refinement half-width, since a later peak refines
-    past where the frame fits.  Their metric reads `last + fft_size`
-    samples; below fft_size (last < 0) there is no such start.
+    Its starts run up to `last`: the buffer's length beyond one frame plus
+    the refinement half-width, since a later peak refines past where the
+    frame fits.  Their metric reads `last + fft_size` samples; below
+    fft_size (last < 0) there is no such start.
     """
     return size - params.frame_samples(n_symbols) + _refine_window(params) + params.fft_size
 
 
 def gate_metric(head: np.ndarray, params: OfdmParams):
-    """The sync gate's peak timing metric over every start of a head of at least fft_size samples.
+    """The peak timing metric over every start of a head of at least fft_size samples.
 
     A 1-D head gives a float, an (R, L) array of heads an array of R peaks.
     """
@@ -125,21 +123,22 @@ def gate_metric(head: np.ndarray, params: OfdmParams):
     return float(peak) if peak.ndim == 0 else peak
 
 
-def synchronize(samples, params: OfdmParams) -> SyncResult:
-    """Locate the frame start, or fail when no usable preamble is found.
+def synchronize(samples, params: OfdmParams, n_symbols: int) -> SyncResult:
+    """Locate the start of an n_symbols frame, or fail when no usable preamble is found where it fits.
 
-    Returns the coarse timing metric peak; success requires it to reach
-    SYNC_THRESHOLD.  On success the start estimate is refined by
-    cross-correlation with the known preamble and the fractional frequency
-    offset is estimated from the half-lag correlation phase.  The coarse
-    offset is removed from the matched-filter window only, not the buffer.
+    The coarse timing metric peak over the starts in `gate_length` samples
+    is the returned metric; success requires it to reach SYNC_THRESHOLD and
+    the frame to fit from the start that cross-correlation with the known
+    preamble refines it to.  The fractional frequency offset comes from the
+    half-lag correlation phase; the coarse offset is removed from the
+    matched-filter window only, not the buffer.
     """
     x = _as_samples(samples)
-    half = params.fft_size // 2
-    if x.size < 2 * half:  # no start d with d + 2*half <= x.size
+    head = min(x.size, gate_length(x.size, params, n_symbols))
+    if head < params.fft_size:  # no start from which the frame fits
         return SyncResult(success=False, metric=0.0)
 
-    p, metric = _timing_metric(x, half)
+    p, metric = _timing_metric(x[:head], params.fft_size // 2)
     peak = int(np.argmax(metric))
     peak_metric = float(metric[peak])
     if peak_metric < SYNC_THRESHOLD:
@@ -147,8 +146,7 @@ def synchronize(samples, params: OfdmParams) -> SyncResult:
 
     cfo_coarse = float(np.angle(p[peak]) / math.pi)
 
-    # matched-filter refinement around the coarse peak; peak <= x.size - pre.size, the last
-    # start of the metric, so lo <= peak <= hi
+    # matched-filter refinement around the coarse peak; peak <= x.size - pre.size, so lo <= peak <= hi
     pre = _preamble(params)
     window = _refine_window(params)
     lo = max(0, peak - window)
@@ -156,8 +154,10 @@ def synchronize(samples, params: OfdmParams) -> SyncResult:
     seg = _derotate(x[None, lo : hi + pre.size], cfo_coarse, [lo], params.fft_size)[0]
     xc = np.abs(np.correlate(seg, pre, mode="valid"))
     start = lo + int(np.argmax(xc))
+    if start > x.size - params.frame_samples(n_symbols):
+        return SyncResult(success=False, metric=peak_metric)
 
-    # the half-lag phase at the refined start (start <= hi, a start of p) is the
+    # the half-lag phase at the refined start (start <= slack, a start of p) is the
     # cleanest offset estimate; at the exact start of a clean preamble it is identically zero
     cfo_sc = float(np.angle(p[start]) / math.pi)
 
@@ -176,7 +176,8 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
     constellation points the transmitter sent (FrameBuffer.data_symbols);
     the EVM is the RMS distance of the equalized data symbols from it.
     The channel is estimated on the pilots of stream 0, the desired link's.
-    Synchronization failure propagates as a link-down result with no EVM.
+    Synchronization, which searches only the starts from which the frame
+    fits, can fail; that propagates as a link-down result with no EVM.
     When decode is False the Viterbi stage is skipped and no payload is
     returned, which is considerably faster for EVM-only sweeps.  The
     estimated frequency offset is removed from the FFT windows only (the
@@ -188,18 +189,10 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
         raise ValueError("reference_symbols must be (n_symbols, n_data)")
     n_symbols = ref.shape[0]
 
-    head = gate_length(x.size, params, n_symbols)
-    if n_symbols == 0 or head < params.fft_size:
-        return RxResult(sync_success=False, sync_metric=0.0)
-    fit_metric = gate_metric(x[:head], params)
-    if fit_metric < SYNC_THRESHOLD:
-        return RxResult(sync_success=False, sync_metric=fit_metric)
-
-    # the head metric is a prefix of the full one, so synchronize has starts and its peak passes too
-    sync = synchronize(x, params)
+    sync = synchronize(x, params, n_symbols)
+    if n_symbols == 0 or not sync.success:
+        return RxResult(sync_success=False, sync_metric=sync.metric)
     needed = sync.frame_start + n_symbols * params.symbol_samples
-    if needed > x.size:
-        return RxResult(sync_success=False, sync_metric=fit_metric)
 
     # (n_symbols, fft_size) view of the FFT windows, each starting past its CP
     cp = params.cp_length
@@ -236,4 +229,4 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
         llr = demap_16qam(y_eq.ravel()).reshape(n_symbols, -1)
         payload = fec_decode(llr).ravel()
 
-    return RxResult(sync_success=True, sync_metric=fit_metric, evm_rms=evm, payload=payload)
+    return RxResult(sync_success=True, sync_metric=sync.metric, evm_rms=evm, payload=payload)

@@ -378,7 +378,8 @@ def test_waveform_sweep_builds_two_frames(monkeypatch, scenarios, grid, n):
 
 def test_dipole_points_fail_sync_without_the_full_buffer_search(monkeypatch, scenarios, grid):
     # the rig's buffer is one frame long: every dipole point's timing metric stays under the
-    # threshold on the starts where the frame fits, so the whole-buffer search never runs
+    # threshold on the starts where the frame fits, so the batched head gate stops every point
+    # before the receiver runs
     calls = []
 
     def counted(*args, **kwargs):
@@ -590,16 +591,17 @@ def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, g
     seen = []
     head_metrics = campaign._head_metrics
 
-    def recorded(desired, interferer, params, points):
-        seen.append((desired, interferer, params, points, head_metrics(desired, interferer, params, points)))
-        return seen[-1][-1]
+    def recorded(desired, interferer, params, keys, levels):
+        metrics = head_metrics(desired, interferer, params, keys, levels)
+        seen.append((desired, interferer, params, keys, levels, metrics))
+        return metrics
 
     monkeypatch.setattr(campaign, "_head_metrics", recorded)
     run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed)
-    [(desired, interferer, params, points, batched)] = seen
+    [(desired, interferer, params, keys, levels, batched)] = seen
     head = gate_length(desired.size, params, campaign.FRAME_SYMBOLS)
-    assert len(points) == batched.size > 100
-    for (key, i_dbm), m in zip(points, batched.tolist()):
+    assert keys.dtype == np.uint64 and len(keys) == len(levels) == batched.size > 100
+    for key, i_dbm, m in zip(keys.tolist(), levels, batched.tolist()):
         mixed = impair(desired[:head], interferer, 0.0, -i_dbm, -math.inf, key)
         want = gate_metric(mixed, params)
         assert isinstance(want, float) and m.hex() == want.hex()

@@ -304,6 +304,17 @@ def test_interferer_delay_is_the_delay_impair_applies(n):
         assert np.array_equal(out, ramp[(np.arange(out.size) - delay) % n])
 
 
+@pytest.mark.parametrize("n", [1, 7, 1088, 32256, 2**32 - 1])
+def test_interferer_delay_of_a_key_array_is_the_int_rule_per_key(n):
+    # the array path forms splitmix64(key) * n >> 64 in 32-bit halves; the oracle is the Python-int product
+    rng = np.random.default_rng(n)
+    keys = np.r_[np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 20_000, np.uint64)]
+    delays = interferer_delay(keys, n)
+    assert delays.dtype == np.uint64
+    assert delays.tolist() == [splitmix64(k) * n >> 64 for k in keys.tolist()]
+    assert delays.tolist()[:4] == [interferer_delay(k, n) for k in keys.tolist()[:4]]
+
+
 def _reference_impair(desired, interferer, atten_desired_db, atten_interferer_db, noise_power_dbm, seed):
     """The rig as np.roll by the seed's delay, np.tile and a cut to length, then default_rng(seed)'s (2, n) noise."""
     d = np.asarray(desired, dtype=np.complex128)
@@ -433,7 +444,7 @@ def test_iq_byte_layout(tmp_path):
 def test_sync_recovers_delay(delay):
     fb = rand_frame(P, 2, seed=12)
     buf = np.concatenate([np.zeros(delay, complex), fb.samples, np.zeros(32, complex)])
-    s = synchronize(buf, P)
+    s = synchronize(buf, P, 2)
     assert s.success
     assert abs(s.frame_start - P.preamble_samples - delay) <= 2
 
@@ -441,12 +452,12 @@ def test_sync_recovers_delay(delay):
 def test_sync_noise_only_fails():
     rng = np.random.default_rng(13)
     noise = (rng.standard_normal(9000) + 1j * rng.standard_normal(9000)) / math.sqrt(2)
-    s = synchronize(noise, P)
+    s = synchronize(noise, P, 2)
     assert not s.success
 
 
 def test_sync_too_short_buffer_fails():
-    assert not synchronize(np.zeros(100, complex), P).success
+    assert not synchronize(np.zeros(100, complex), P, 2).success
 
 
 def test_sync_fails_under_heavy_interference():
@@ -456,13 +467,13 @@ def test_sync_fails_under_heavy_interference():
     for seed in range(100):
         fi = rand_frame(P, 2, seed=20_000 + seed, pilot_stream=1)
         mixed = impair(fb, fi.body_stream(), 0.0, -20.0, seed=seed)
-        failures += not synchronize(mixed, P).success
+        failures += not synchronize(mixed, P, 2).success
     assert failures > 90
 
 
 def test_sync_cfo_estimate_clean():
     fb = rand_frame(P, 2, seed=15)
-    s = synchronize(fb.samples, P)
+    s = synchronize(fb.samples, P, 2)
     assert s.success
     assert abs(s.cfo_subcarriers) < 1e-6 / (P.sampling_rate_hz / P.fft_size)
 
@@ -502,7 +513,7 @@ def test_receive_corrects_injected_cfo(cfo):
     mixed = impair(buf, None, 0.0, math.inf, noise_power_for_subcarrier_snr(P, 20.0, 4), seed=3)
     clean = receive_frame(mixed, P, fb.data_symbols, decode=False)
     shifted = _with_cfo(mixed, cfo)
-    s = synchronize(shifted, P)
+    s = synchronize(shifted, P, 4)
     assert s.success
     assert abs(s.cfo_subcarriers - cfo) < 0.01
     rx = receive_frame(shifted, P, fb.data_symbols, decode=False)
@@ -523,7 +534,7 @@ def test_prepended_offset_shifts_sync_only(k, seed):
     moved_x = np.r_[np.zeros(k, complex), mixed]
     moved = receive_frame(moved_x, P, _OFFSET_FRAME.data_symbols, decode=False)
     assert base.sync_success and moved.sync_success
-    assert synchronize(moved_x, P).frame_start == synchronize(mixed, P).frame_start + k
+    assert synchronize(moved_x, P, 2).frame_start == synchronize(mixed, P, 2).frame_start + k
     assert moved.evm_rms == pytest.approx(base.evm_rms, rel=1e-12)
 
 
@@ -533,7 +544,7 @@ def test_sync_finds_a_preamble_at_the_last_start_of_the_buffer():
     for lead in range(400):
         x = np.r_[np.zeros(lead, complex), _preamble(P)]
         assert int(np.argmax(_timing_metric(x, P.fft_size // 2)[1])) == x.size - P.fft_size
-        s = synchronize(x, P)
+        s = synchronize(x, P, 0)
         assert s.success
         assert s.frame_start - P.preamble_samples == x.size - P.fft_size
 
@@ -546,38 +557,61 @@ _GATE_SHAPES = ("exact", "padded", "short")
 
 
 def _gate_buffer(shape, rng):
-    """An impaired frame, mostly near the sync threshold, in a buffer one frame long, padded, or short."""
+    """An impaired frame, mostly near the sync threshold, in a buffer one frame long, padded, or short.
+
+    A short buffer has a lead of 0-31 samples and loses 1-95 at its end.  With the 64-sample
+    refinement half-width, a cut under 64 leaves feasible starts that often hold the preamble, and a
+    longer cut leaves none.
+    """
     sir = rng.uniform(-4.0, 0.0) if rng.random() < 0.8 else rng.uniform(-20.0, 20.0)
     mixed = impair(_GATE_FRAME, _GATE_INTERFERER, 0.0, sir, -30.0, seed=int(rng.integers(2**63)))
-    lead = np.zeros(int(rng.integers(0, 300)), complex)
     if shape == "exact":
         return mixed
     if shape == "padded":
+        lead = np.zeros(int(rng.integers(0, 300)), complex)
         return np.r_[lead, mixed, np.zeros(int(rng.integers(1, 300)), complex)]
-    return np.r_[lead, mixed][: mixed.size - int(rng.integers(1, 400))]
+    return np.r_[np.zeros(int(rng.integers(0, 32)), complex), mixed][: mixed.size - int(rng.integers(1, 96))]
 
 
 @pytest.mark.parametrize("shape", _GATE_SHAPES)
-def test_receive_frame_syncs_exactly_when_the_full_search_fits_a_frame(shape):
+def test_receive_frame_syncs_exactly_when_the_feasible_search_fits_a_frame(shape):
+    # oracle: the peak of the full buffer's timing metric over the starts from which the frame fits, at
+    # most slack + window; the frame fits from its true start in an exact or padded buffer, never in a short one
     n_symbols = _GATE_FRAME.data_symbols.shape[0]
+    last = _refine_window(P) - P.frame_samples(n_symbols)  # plus x.size
     rng = np.random.default_rng(_GATE_SHAPES.index(shape))
     outcomes, near = set(), 0
     for _ in range(150):
         x = _gate_buffer(shape, rng)
-        sync = synchronize(x, P)
-        fits = sync.success and sync.frame_start + n_symbols * P.symbol_samples <= x.size
+        metric = _timing_metric(x, P.fft_size // 2)[1][: max(0, x.size + last + 1)]
+        peak = float(metric.max()) if metric.size else 0.0
+        passes = peak >= SYNC_THRESHOLD
         rx = receive_frame(x, P, _GATE_FRAME.data_symbols, decode=False)
-        assert rx.sync_success == fits
-        if fits:
-            assert rx.sync_metric == sync.metric
+        assert rx.sync_success == (passes and shape != "short")
+        assert rx.sync_metric == peak
         head = gate_length(x.size, P, n_symbols)
         assert rx.sync_metric == (gate_metric(x[:head], P) if head >= P.fft_size else 0.0)
-        outcomes.add((sync.success, fits))
-        near += abs(sync.metric - SYNC_THRESHOLD) < 0.05
+        outcomes.add((passes, rx.sync_success))
+        near += abs(peak - SYNC_THRESHOLD) < 0.05
     assert near >= 30
-    # every outcome the buffer shape allows occurs: a short buffer never fits the frame, even
-    # where synchronize finds its preamble
+    # every outcome the buffer shape allows occurs: a short buffer never syncs, even where a feasible start passes
     assert outcomes == ({(True, False), (False, False)} if shape == "short" else {(True, True), (False, False)})
+
+
+def test_a_stronger_peak_where_the_frame_cannot_fit_does_not_capture_sync():
+    # interference lowers the preamble's peak to about 0.61; a repeated-half decoy 1,500 samples into this
+    # one-frame buffer peaks at about 0.95, but no frame fits from there
+    fb = rand_frame(P, 2, seed=35)
+    x = impair(fb, rand_frame(P, 2, seed=36, pilot_stream=1).body_stream(), 0.0, 0.0, -math.inf, seed=5)
+    half = [1.0, 1.0j] @ np.random.default_rng(37).standard_normal((2, P.fft_size // 2))
+    x[1500 : 1500 + P.fft_size] += 4.0 * np.r_[half, half]
+    metric = _timing_metric(x, P.fft_size // 2)[1]
+    feasible = metric[: _refine_window(P) + 1]
+    assert SYNC_THRESHOLD <= feasible.max() < 0.7 < metric.max() and metric.argmax() > 1400
+    s = synchronize(x, P, 2)
+    assert s.success and s.frame_start == P.preamble_samples and s.metric == feasible.max()
+    rx = receive_frame(x, P, fb.data_symbols, decode=False)
+    assert rx.sync_success and rx.sync_metric == s.metric
 
 
 @pytest.mark.parametrize("rows,length", [(1, 1024), (3, 1088), (8, 1088), (16, 1500)])
@@ -631,7 +665,7 @@ def test_receive_clean_frame_after_leading_zeros(lead):
     x = np.r_[np.zeros(lead, complex), fb.samples]
     rx = receive_frame(x, P, fb.data_symbols, decode=False)
     assert rx.sync_success
-    assert synchronize(x, P).frame_start == lead + P.preamble_samples
+    assert synchronize(x, P, 3).frame_start == lead + P.preamble_samples
     assert rx.evm_rms < 1e-12
 
 
