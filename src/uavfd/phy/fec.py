@@ -22,12 +22,15 @@ both transitions send the coded pair fixed by `_CODE_INDEX[h, j, b]`
 on fixed views of preallocated buffers: an add of the path metrics, seen as
 (2, 32, 1, B), to the (2, 32, 2, B) branch metrics, and a maximum over the
 leading axis, which writes the new metrics in state order.  The row axis is
-innermost, so each call runs over contiguous runs of B values.  Branch
-metrics are gathered, and survivor decisions compared and bit-packed, once
-per chunk of 64 steps.  The working memory is the LLR copy, the 64-step
-candidate buffer (64 KiB per row) and the survivor table of one bit per
-state, step and row (8 bytes per step and row); the traceback walks each
-row's table in pure Python.
+innermost, so each call runs over contiguous runs of B values.  Per chunk
+of 64 steps the branch metrics are gathered and the decisions written to a
+bool table, state-major with the rows innermost.  The traceback (Forney's
+survivor memory) runs the rows in lockstep too: per chunk, one multiply and
+one add turn decisions into predecessor indices, and each step back is one
+`take` for all B rows, so a long 1-D block pays a call per step.  Working
+memory per row: 82 bytes per step (decisions 64, LLRs 16, state indices 2;
++16 for a non-float64 input, +6 past 1,024 rows) and 72 KiB of chunk
+buffers (candidates 64, predecessor table 8, or 32 past 1,024 rows).
 """
 
 import numpy as np
@@ -91,7 +94,7 @@ _CODE_INDEX = _build_code_index()
 # branch-metric signs (1 - 2*o) of each coded bit, per code index 2*o0 + o1, as columns over the rows
 _SGN0 = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 _SGN1 = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-_CHUNK = 64  # trellis steps per branch-metric gather and decision pack
+_CHUNK = 64  # trellis steps per branch-metric gather, decision write and traceback table
 # a path metric's magnitude never exceeds the 1e18 start offset plus the sum
 # of all |LLR|; bounding that sum by half the float range leaves ample room
 # for rounding, so no metric can overflow to inf (and inf - inf to NaN)
@@ -108,13 +111,11 @@ def fec_decode(coded) -> np.ndarray:
     returned payload.  Raises ValueError for a length that is odd or shorter
     than the tail, for hard decisions other than 0/1, for NaN or infinite
     LLRs, and for a block whose LLRs are so large that its path metrics
-    would overflow.
+    would overflow.  An input of zero blocks gives an empty payload.
 
     Each step adds the branch metrics to both predecessors of every state
     and keeps the larger sum.  On a tie the predecessor j wins over j + 32
-    (survivor bit 0).  Apart from the LLR copy and the survivor table of
-    8 bytes per step and block, the working arrays are sized by the 64-step
-    chunk and the block count, not by the block length.
+    (survivor bit 0).  The module docstring gives the working memory.
     """
     arr = np.atleast_1d(np.asarray(coded))
     if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
@@ -122,7 +123,7 @@ def fec_decode(coded) -> np.ndarray:
             raise ValueError("hard decisions must be 0/1 bits")
         llr = 1.0 - 2.0 * arr.astype(np.float64)
     else:
-        llr = arr.astype(np.float64)
+        llr = arr.astype(np.float64, copy=False)
     n_llr = llr.shape[-1]
     if n_llr % RATE_DEN != 0:
         raise ValueError(f"LLR count must be a multiple of {RATE_DEN}")
@@ -132,7 +133,7 @@ def fec_decode(coded) -> np.ndarray:
     if not np.isfinite(llr).all():
         raise ValueError("LLRs must be finite")
     # the bound is per row, by the row's length: a row that decodes alone also decodes in a batch
-    if np.abs(llr).max() >= _PM_LIMIT / n_llr:
+    if np.abs(llr).max(initial=0.0) >= _PM_LIMIT / n_llr:
         raise ValueError("LLR magnitudes are too large: path metrics would overflow")
 
     rows = llr.reshape(-1, n_llr)
@@ -142,10 +143,9 @@ def fec_decode(coded) -> np.ndarray:
     pm[0] = 0.0
     pm_pairs = pm.reshape(_HALF, 2, n_rows)  # new metrics, state 2j + b at [j, b]
     pm_halves = pm.reshape(2, _HALF, 1, n_rows)  # old metrics, state 32h + j at [h, j]
-    cand = np.empty((_CHUNK, 2, _HALF, 2, n_rows))
-    steps = [(cand[c], cand[c, 0], cand[c, 1]) for c in range(_CHUNK)]
-    took_j32 = np.empty((_CHUNK, n_rows, _N_STATES), dtype=np.bool_)  # each row's decisions contiguous
-    survivors = np.empty((n_rows, n_steps, _N_STATES // 8), dtype=np.uint8)  # each row's table contiguous
+    cand = np.empty((min(_CHUNK, n_steps), 2, _HALF, 2, n_rows))  # a short block sizes its own chunk
+    steps = [(cand[c], cand[c, 0], cand[c, 1]) for c in range(len(cand))]
+    took_j32 = np.empty((n_steps, _N_STATES, n_rows), dtype=np.bool_)  # state-major, rows innermost
     add, maximum = np.add, np.maximum  # bound once: the inner loop is call-bound
 
     for t0 in range(0, n_steps, _CHUNK):
@@ -157,21 +157,21 @@ def fec_decode(coded) -> np.ndarray:
         for both, from_j, from_j32 in steps[:m]:
             add(both, pm_halves, out=both)
             maximum(from_j, from_j32, out=pm_pairs)
-        # `cand` still holds every candidate of the chunk: decide them all at once, written
-        # state-major per row so that the pack runs along the last axis
-        took = took_j32[:m]
-        np.greater(cand[:m, 1], cand[:m, 0], out=took.reshape(m, n_rows, _HALF, 2).transpose(0, 2, 3, 1))
-        survivors[:, t0 : t0 + m] = np.packbits(took, axis=2, bitorder="little").transpose(1, 0, 2)
+        # `cand` still holds every candidate of the chunk: decide them all at once, in state order
+        np.greater(cand[:m, 1], cand[:m, 0], out=took_j32[t0 : t0 + m].reshape(m, _HALF, 2, n_rows))
 
-    # zero-tail: traceback from state 0; in a row's table, state s's bit of step t is bit s % 8 of byte 8t + s // 8
-    payload = np.empty((n_rows, n_steps - TAIL_BITS), dtype=np.uint8)
-    path = bytearray(n_steps)
-    for r in range(n_rows):
-        table = memoryview(survivors[r]).cast("B")
-        state = 0
-        for t in range(n_steps - 1, -1, -1):
-            path[t] = state & 1
-            bit = (table[8 * t + (state >> 3)] >> (state & 7)) & 1
-            state = (state >> 1) | (bit << (TAIL_BITS - 1))
-        payload[r] = np.frombuffer(path, dtype=np.uint8, count=n_steps - TAIL_BITS)
+    # zero-tail traceback from state 0: idx[t] is s*B + r for row r's state s after step t - 1,
+    # and tab[k] maps it to its survivor predecessor's index ((s >> 1) + 32*d) * B + r
+    index = np.uint16 if _N_STATES * n_rows <= 1 << 16 else np.intp
+    pred_j = ((np.arange(_N_STATES) >> 1)[:, None] * n_rows + np.arange(n_rows)).astype(index).ravel()
+    tab = np.empty((len(cand), _N_STATES * n_rows), dtype=index)
+    idx = np.empty((n_steps + 1, n_rows), dtype=index)
+    idx[n_steps] = np.arange(n_rows)
+    for t0 in reversed(range(0, n_steps, _CHUNK)):
+        m = min(_CHUNK, n_steps - t0)
+        np.multiply(took_j32[t0 : t0 + m].reshape(m, -1), index(_HALF * n_rows), out=tab[:m])
+        np.add(tab[:m], pred_j, out=tab[:m])
+        for k in range(m - 1, -1, -1):
+            tab[k].take(idx[t0 + k + 1], out=idx[t0 + k], mode="clip")
+    payload = (idx[1 : n_steps - TAIL_BITS + 1] // n_rows & 1).T.astype(np.uint8, order="C")
     return payload.reshape(llr.shape[:-1] + (n_steps - TAIL_BITS,))

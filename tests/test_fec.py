@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,60 @@ def test_rows_either_side_of_the_chunk_edge(n, kind):
     got = fec_decode(x)
     for row, decoded in zip(x, got):
         assert np.array_equal(decoded, _reference_viterbi(row))
+
+
+# 57-59 and 121-123-bit payloads are 63-65 and 127-129 trellis steps: the traceback walks back
+# one 64-step chunk at a time, so these rows end just before, on and just past a chunk edge
+@pytest.mark.parametrize("n", [57, 58, 59, 121, 122, 123])
+@pytest.mark.parametrize("n_rows", [1, 5, 28])
+@pytest.mark.parametrize("kind", ["hard", "quantised"])
+def test_rows_either_side_of_the_backward_chunk_edges(n, n_rows, kind):
+    x = _channel_rows(n_rows, n, kind)
+    got = fec_decode(x)
+    assert got.shape == (n_rows, n)
+    for row, decoded in zip(x, got):
+        assert np.array_equal(decoded, _reference_viterbi(row))
+
+
+# the traceback indexes s*B + r in uint16 while 64*B <= 2**16, so 1,024 rows are the last
+# uint16 batch and 1,025 rows the first intp one
+@pytest.mark.parametrize("n_rows", [1024, 1025])
+@pytest.mark.parametrize("kind", ["soft", "hard"])
+def test_rows_either_side_of_the_traceback_index_width(n_rows, kind):
+    x = _channel_rows(n_rows, 20, kind)
+    got = fec_decode(x)
+    assert got.shape == (n_rows, 20) and got.dtype == np.uint8
+    for row, decoded in zip(x, got):
+        assert np.array_equal(decoded, fec_decode(row))
+    for r in (0, 1, 511, 512, 1000, n_rows - 2, n_rows - 1):
+        assert np.array_equal(got[r], _reference_viterbi(x[r]))
+
+
+def test_zero_blocks_decode_to_an_empty_payload():
+    coded = fec_encode(np.zeros((0, 7), dtype=np.uint8))
+    assert coded.shape == (0, coded_length(7))
+    for x in (coded, 1.0 - 2.0 * coded):
+        got = fec_decode(x)
+        assert got.shape == (0, 7) and got.dtype == np.uint8
+    got = fec_decode(np.zeros((3, 0, 20)))
+    assert got.shape == (3, 0, 4) and got.dtype == np.uint8
+
+
+def test_frame_decode_working_memory():
+    # the fec module docstring's figures for a float64 input of at most 1,024 rows: 82 bytes per
+    # step and row (decisions 64, row-innermost LLRs 16, state indices 2) and 72 KiB of chunk
+    # buffers per row; 5% covers the short-lived arrays (branch metrics, output stage, views)
+    x = _channel_rows(28, 1044, "soft")
+    n_rows, n_steps = x.shape[0], x.shape[1] // 2
+    fec_decode(x)  # first-call allocations are not working memory
+    tracemalloc.start()
+    try:
+        fec_decode(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = n_rows * (82 * n_steps + 72 * 1024)
+    assert 0.9 * bound < peak <= 1.05 * bound
 
 
 def test_decode_works_along_the_last_axis():
