@@ -38,10 +38,7 @@ produce.  Mirroring, the CSV writer and reader and the capacity stage
 all work on whole columns; rows come out as `SweepRecord`s on demand.
 """
 
-import ctypes
-import functools
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -361,20 +358,6 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
     return SweepTable(*pos.T.copy(), *powers, *(_unknown(n) for _ in _CAPACITY_COLUMNS))
 
 
-@functools.cache
-def _retain_freed_heap() -> None:
-    """Keep freed buffers on the heap instead of handing them back to the OS.
-
-    A waveform point frees a few MB; glibc's adaptive trim threshold often
-    returned them, to be faulted in again on the next point (~2 ms each).
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: buffers below 32 MB come from the heap
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB of freed heap
-
-
 def rig_frame(
     params: OfdmParams, n_symbols: int, payload_seeds, interferer: bool = True
 ) -> tuple[FrameBuffer, np.ndarray | None]:
@@ -383,7 +366,6 @@ def rig_frame(
     The interfering uplink is a free-running co-channel modem: the victim
     sees its continuous data stream, not a preamble.
     """
-    _retain_freed_heap()  # every waveform sweep and `uavfd modem` frame passes here
     payload_bits = params.payload_bits(n_symbols)
     frame = build_frame(params, np.random.default_rng(payload_seeds[0]).integers(0, 2, payload_bits))
     if not interferer:

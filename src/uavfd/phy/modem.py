@@ -12,10 +12,12 @@ attenuators into a signal combiner plus receiver noise, with the interferer
 free-running at an arbitrary (asynchronous) sample offset.
 """
 
+import ctypes
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -230,6 +232,21 @@ class FrameBuffer:
         return body / np.sqrt(np.mean(np.abs(body) ** 2))
 
 
+@cache
+def _retain_freed_heap() -> None:
+    """Keep freed buffers on the heap instead of handing them back to the OS.
+
+    A waveform point or a decoded frame frees a few MB; glibc's adaptive
+    trim threshold often returned them, to be faulted in again on the next
+    point or frame (~2 ms each).  Every waveform path builds a frame first.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: buffers below 32 MB come from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB of freed heap
+
+
 def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> FrameBuffer:
     """FEC-encode, map, and modulate a payload into a baseband frame.
 
@@ -240,6 +257,7 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     power.  pilot_stream selects the transmitter's pilot scrambling;
     co-channel transmitters should use distinct ids.
     """
+    _retain_freed_heap()
     payload = np.asarray(payload_bits, dtype=np.uint8).ravel()
     per_symbol = params.payload_bits(1)
     n_symbols = payload.size // per_symbol

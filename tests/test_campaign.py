@@ -41,7 +41,7 @@ from uavfd.phy import (
     receiver,
     synchronize,
 )
-from uavfd.phy.modem import splitmix64
+from uavfd.phy.modem import _retain_freed_heap, splitmix64
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -633,9 +633,9 @@ def test_gate_chunk_size_changes_no_table_bit(scenarios, name, seed, chunk):
 
 def test_waveform_sweep_retains_the_freed_heap(scenarios, grid):
     # a dipole sweep never reaches measure_link, yet its passes must not give the heap back either
-    campaign._retain_freed_heap.cache_clear()
+    _retain_freed_heap.cache_clear()
     run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid)
-    assert campaign._retain_freed_heap.cache_info().misses == 1
+    assert _retain_freed_heap.cache_info().misses == 1
 
 
 def test_mirror_symmetry(power_dir01):

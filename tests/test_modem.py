@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -721,6 +725,34 @@ def test_28_symbol_frame_decodes_exactly_at_30_db():
     assert rx.sync_success
     assert rx.payload.shape == (28 * 1044,)
     assert np.array_equal(rx.payload, fb.payload)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the heap policy is set through glibc's mallopt")
+def test_decoded_frames_reuse_the_heap():
+    # a fresh process that builds and decodes frames without the campaign rig: building a frame
+    # sets the heap policy, so a frame's few MB of decode buffers are not faulted in again
+    # (without it, about 900 minor faults per 28-symbol frame)
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from uavfd import phy\n"
+        "p = phy.OfdmParams()\n"
+        "bits = np.random.default_rng(0).integers(0, 2, p.payload_bits(28))\n"
+        "def one():\n"
+        "    frame = phy.build_frame(p, bits)\n"
+        "    rx = phy.receive_frame(frame.samples, p, frame.data_symbols, decode=True)\n"
+        "    assert np.array_equal(rx.payload, bits)\n"
+        "one(); one()\n"
+        "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(4): one()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert int(proc.stdout.split()[-1]) < 4 * 25
 
 
 @pytest.mark.parametrize("k", [0, 13, 27])
