@@ -255,7 +255,8 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     own zero-tailed code block, so block k is the coded bits of symbol k
     and decodes on its own.  The emitted frame has unit average sample
     power.  pilot_stream selects the transmitter's pilot scrambling;
-    co-channel transmitters should use distinct ids.
+    co-channel transmitters should use distinct ids.  The first call sets
+    the process's heap policy (`_retain_freed_heap`).
     """
     _retain_freed_heap()
     payload = np.asarray(payload_bits, dtype=np.uint8).ravel()
