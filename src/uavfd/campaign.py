@@ -21,9 +21,11 @@ including the possibility of synchronization failure.  Like the SDR rig,
 it replays one frame per sweep, and it draws the receiver noise once per
 sweep too (common random numbers): the received desired signal, frame
 plus noise, is formed once, each point adds only its interferer, and
-every interference-free point shares one receiver pass.  The interfered
-points' heads, the 1,088 of 33,280 samples the receiver's sync gate
-reads, are formed and gated as the rows of one array per chunk of
+every interference-free point shares one receiver pass.  A point's
+interferer is a row of `delayed_interferer`'s table, the one definition
+that `impair` uses too, built once per sweep.  The interfered points'
+heads, the 1,088 of 33,280 samples the receiver's sync gate reads, are
+taken from it and gated as the rows of one array per chunk of
 GATE_CHUNK_ROWS; only a point whose head passes has its full buffer
 formed and received.  Every run seed comes from `key_fold`, a
 SplitMix64 hash of (seed, stream, integer words): the rig payloads and
@@ -43,7 +45,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .antenna import AntennaSpec, dipole, horn, perturb_pointing
 from .geometry import Position, distance
@@ -56,9 +57,9 @@ from .metrics import (
     sinr_analytic,
     sinr_from_evm,
 )
-from .phy import SYNC_THRESHOLD, FrameBuffer, OfdmParams, RxResult, build_frame, gate_length, gate_metric
+from .phy import SYNC_THRESHOLD, FrameBuffer, OfdmParams, build_frame, gate_length, gate_metric
 from .phy import impair, receive_frame
-from .phy.modem import _U64, interferer_delay, splitmix64
+from .phy.modem import _U64, delayed_interferer, interferer_delay, splitmix64
 from .propagation import NodeConfig, fspl_db, link_gain_db, noise_floor_dbm
 
 GS_POSITION = Position(0.0, 0.0, 0.1)
@@ -374,43 +375,6 @@ def rig_frame(
     return frame, build_frame(params, bits, pilot_stream=1).body_stream()
 
 
-def measure_link(
-    frame: FrameBuffer, interferer, atten_desired_db: float, atten_interferer_db: float, noise_dbm: float, seed: int
-) -> tuple[np.ndarray, RxResult]:
-    """Replay a frame through the combiner rig and measure its EVM.
-
-    `impair` attenuates the frame and the interferer and adds receiver
-    noise of power noise_dbm (-inf for none); the int seed gives the
-    interferer's delay and the noise; the interferer is left out when it is None
-    or atten_interferer_db is inf.  Returns the impaired samples and the
-    receiver result (EVM only, no decoding).
-    """
-    mixed = impair(frame, interferer, atten_desired_db, atten_interferer_db, noise_dbm, seed)
-    return mixed, receive_frame(mixed, frame.params, frame.data_symbols, decode=False)
-
-
-def _head_metrics(desired: np.ndarray, interferer: np.ndarray, params: OfdmParams, keys, levels) -> np.ndarray:
-    """The sync gate's metric on each interfered point's head, given its uint64 delay key and interference dBm.
-
-    A head is the desired head plus the interferer delayed by
-    `interferer_delay(key, n)` at impair's Python-float gain: with no noise
-    drawn per point, bit for bit the head of what `measure_link` receives.
-    GATE_CHUNK_ROWS heads go to each `gate_metric` call.
-    """
-    head = gate_length(desired.size, params, FRAME_SYMBOLS)
-    n = interferer.size
-    # row d of these windows over the interferer repeated to n + head samples is i[(k - d) mod n]
-    windows = sliding_window_view(np.resize(interferer, n + head), head)[::-1]
-    delays = interferer_delay(keys, n).astype(np.intp)
-    gains = np.array([10.0 ** (level / 20.0) for level in levels])
-    metrics = np.empty(len(delays))
-    for c in range(0, len(delays), GATE_CHUNK_ROWS):
-        mixed = windows[delays[c : c + GATE_CHUNK_ROWS]] * gains[c : c + GATE_CHUNK_ROWS, None]
-        mixed += desired[:head]
-        metrics[c : c + GATE_CHUNK_ROWS] = gate_metric(mixed, params)
-    return metrics
-
-
 def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
     """Per-point achievable capacity from the reproduced power levels.
 
@@ -418,9 +382,10 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
     SNR.  FD mode uses the configured engine: `analytic` computes
     S/(I+N) from the power map; `waveform` forms the received desired
     signal (one frame at the desired level plus one receiver-noise draw)
-    once per sweep and passes it through `measure_link`, which adds only the
-    interferer: once for all interference-free points and once per other
-    point whose head passes the sync gate.  SINR comes from measured EVM,
+    once per sweep with `impair`, and each interfered point adds its
+    delayed interferer to it as `impair` would.  The receiver runs once for
+    all interference-free points and once per other point whose head
+    passes the sync gate.  SINR comes from measured EVM,
     and a point with failed time synchronization contributes zero capacity.
     The power map's columns are filled in, so the result carries both stages.
     """
@@ -451,19 +416,30 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         # configured floor over the full sampled band
         noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
         desired = impair(frame, None, -table.desired_dbm[0].item(), math.inf, noise_wave_dbm, noise_seed)
-        received = replace(frame, samples=desired)
-        key_array = point_keys(seed, _DELAY_STREAM, np.column_stack((table.x, table.y, table.h)))
-        keys, intf = key_array.tolist(), i_dbm.tolist()
-        # an interfered point whose head fails the sync gate stops there; the others take the full pass
-        interfered = np.flatnonzero(i_dbm > -math.inf).tolist()
+        # an interfered point's buffer is desired + shifted[d] * gain, as impair adds it with no noise drawn
+        shifted = delayed_interferer(interferer, desired.size)
+        interfered = np.flatnonzero(i_dbm > -math.inf)
+        pos = np.column_stack((table.x, table.y, table.h))[interfered]
+        delays = interferer_delay(point_keys(seed, _DELAY_STREAM, pos), interferer.size).astype(np.intp)
+        # impair's Python-float gain; numpy's vector power can move the last bit
+        gains = np.array([10.0 ** (level / 20.0) for level in i_dbm[interfered].tolist()])
+        # each interfered point's head meets the sync gate, GATE_CHUNK_ROWS heads per call
+        head = gate_length(desired.size, params, FRAME_SYMBOLS)
+        metrics = np.empty(len(interfered))
+        for c in range(0, len(interfered), GATE_CHUNK_ROWS):
+            rows = slice(c, c + GATE_CHUNK_ROWS)
+            heads = shifted[delays[rows], :head] * gains[rows, None]
+            heads += desired[:head]
+            metrics[rows] = gate_metric(heads, params)
         table.sync_ok[interfered] = 0.0
-        metrics = _head_metrics(desired, interferer, params, key_array[interfered], [intf[i] for i in interfered])
-        passed = [[i] for i, m in zip(interfered, metrics.tolist()) if m >= SYNC_THRESHOLD]
-        # every interference-free point sees the same rig input, so one pass serves them all
+        # every interference-free point sees the same rig input, so one pass serves them all;
+        # only an interfered point whose head passes the gate has its full buffer formed and received
         clean = np.flatnonzero(i_dbm == -math.inf)
-        for rows in ([clean] if clean.size else []) + passed:
-            i = rows[0]
-            _, rx = measure_link(received, interferer, 0.0, -intf[i], -math.inf, keys[i])
+        passes = [(clean, None)] if clean.size else []
+        passes += [([i], j) for j, i in enumerate(interfered.tolist()) if metrics[j] >= SYNC_THRESHOLD]
+        for rows, j in passes:
+            received = desired if j is None else shifted[delays[j]] * gains[j] + desired
+            rx = receive_frame(received, params, frame.data_symbols, decode=False)
             table.sync_ok[rows] = rx.sync_success
             if rx.sync_success:
                 table.evm_rms[rows] = rx.evm_rms

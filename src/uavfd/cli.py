@@ -20,7 +20,6 @@ from .campaign import (
     GridSpec,
     ScenarioConfig,
     builtin_scenarios,
-    measure_link,
     mirror_symmetry,
     read_sweep_csv,
     rig_frame,
@@ -31,7 +30,7 @@ from .campaign import (
 )
 from .duplexing import build_channel_plan, format_plan_table, validate_plan
 from .metrics import cdf, cdf_at, sinr_analytic, sinr_from_evm
-from .phy import OfdmParams, noise_power_for_subcarrier_snr, write_iq
+from .phy import OfdmParams, impair, noise_power_for_subcarrier_snr, receive_frame, write_iq
 from .placement import ObjectiveKind, PlacementObjective, best_record, feasible_region
 
 
@@ -228,7 +227,8 @@ def _cmd_modem(args) -> int:
     for k in range(args.frames):
         *payload_seeds, impair_seed = rig_seeds(args.seed, k)
         frame, interferer = rig_frame(params, args.symbols, payload_seeds, interferer=args.sir != math.inf)
-        mixed, rx = measure_link(frame, interferer, 0.0, args.sir, noise_dbm, impair_seed)
+        mixed = impair(frame, interferer, 0.0, args.sir, noise_dbm, impair_seed)
+        rx = receive_frame(mixed, params, frame.data_symbols, decode=False)
         if args.dump_iq and k == 0:
             write_iq(args.dump_iq, mixed)
         if rx.sync_success:

@@ -21,6 +21,7 @@ from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fec import TAIL_BITS, fec_encode
 
@@ -313,6 +314,18 @@ def interferer_delay(seed, n: int):
     return ((z >> 32) * n + ((z & 0xFFFFFFFF) * n >> 32)) >> 32
 
 
+def delayed_interferer(interferer: np.ndarray, length: int) -> np.ndarray:
+    """Every delay of the interferer, repeated or cut to length: row d, for d in [0, n], is i[(k - d) mod n].
+
+    A read-only (n + 1, length) view of windows over the interferer
+    repeated to n + length samples, the last window first.  It is the one
+    definition of a delayed interferer; an empty interferer raises ValueError.
+    """
+    if interferer.size == 0:
+        raise ValueError("interferer is empty: it has no sample to delay")
+    return sliding_window_view(np.resize(interferer, interferer.size + length), length)[::-1]
+
+
 def impair(
     desired,
     interferer,
@@ -324,26 +337,21 @@ def impair(
     """Combine attenuated desired and interferer signals plus receiver noise.
 
     Power accounting is relative to the 0 dBm unit-power reference: a frame
-    attenuated by A dB arrives at -A dBm.  The interferer is circularly
-    shifted by `interferer_delay(seed, len(interferer))` and repeated or
-    cut to the desired signal's length, modeling an unsynchronized
-    transmitter.  Noise is circular complex Gaussian with total power
-    noise_power_dbm, I then Q drawn from default_rng(seed), which is built
-    only when noise is drawn.  A given seed always gives the same output.
+    attenuated by A dB arrives at -A dBm.  The interferer is added as row
+    `interferer_delay(seed, len(interferer))` of
+    `delayed_interferer(interferer, len(desired))`, modeling an
+    unsynchronized transmitter.  Noise is circular complex Gaussian with
+    total power noise_power_dbm, I then Q drawn from default_rng(seed),
+    which is built only when noise is drawn.  A given seed always gives the
+    same output.
     """
     d = _as_samples(desired)
     out = d * 10.0 ** (-atten_desired_db / 20.0)
 
     if interferer is not None and atten_interferer_db != math.inf:
         i = _as_samples(interferer)
-        delay = interferer_delay(seed, i.size)
         gain = 10.0 ** (-atten_interferer_db / 20.0)
-        # sample k is i[(k - delay) mod len(i)]: added one contiguous run per wrap of the interferer
-        k, src = 0, -delay % i.size
-        while k < d.size:
-            n = min(i.size - src, d.size - k)
-            out[k : k + n] += i[src : src + n] * gain
-            k, src = k + n, 0
+        out += delayed_interferer(i, d.size)[interferer_delay(seed, i.size)] * gain
 
     if noise_power_dbm != -math.inf:
         # one draw of both quadratures: the same stream as drawing I then Q

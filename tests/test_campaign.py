@@ -17,7 +17,6 @@ from uavfd.campaign import (
     SweepRecord,
     SweepTable,
     grid_positions,
-    measure_link,
     mirror_symmetry,
     point_keys,
     pointing_errors,
@@ -143,15 +142,21 @@ def test_scenario_rejects_bad_numbers(scenarios, field, value):
 
 
 def test_measure_link_one_frame_through_the_rig():
+    # one frame through the rig, as `uavfd modem` sends it: impair, then receive_frame
     params = OfdmParams()
+
+    def measured(frame, interferer, atten_interferer_db):
+        mixed = impair(frame, interferer, 0.0, atten_interferer_db, -math.inf, 3)
+        return mixed, receive_frame(mixed, params, frame.data_symbols, decode=False)
+
     frame, interferer = rig_frame(params, 4, (1, 2))
-    mixed, rx = measure_link(frame, interferer, 0.0, math.inf, -math.inf, 3)
+    mixed, rx = measured(frame, interferer, math.inf)
     assert rx.sync_success and rx.evm_rms < 1e-9
     assert mixed.size == params.frame_samples(4)
-    again, _ = measure_link(*rig_frame(params, 4, (1, 2)), 0.0, math.inf, -math.inf, 3)
+    again, _ = measured(*rig_frame(params, 4, (1, 2)), math.inf)
     assert np.array_equal(mixed, again)
     # a finite interferer attenuation adds the interferer's stream
-    jammed, rx_i = measure_link(frame, interferer, 0.0, 10.0, -math.inf, 3)
+    jammed, rx_i = measured(frame, interferer, 10.0)
     assert rx_i.sync_success and 0.2 < rx_i.evm_rms < 0.5
     assert not np.array_equal(mixed, jammed)
 
@@ -546,22 +551,28 @@ def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, sce
     assert len(calls) == passed + 1
 
 
-@pytest.mark.parametrize("name,full,heads", [("dipole-0.1", 1, 496), ("directional-0.1", 81, 140)])
-def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenarios, grid, name, full, heads):
-    # the full-length calls are the received desired signal, the interference-free pass and each
-    # interfered point whose head passes the gate; every interfered point's head is a row of a batched gate
-    sizes = []
+@pytest.mark.parametrize("name,received,heads", [("dipole-0.1", 0, 496), ("directional-0.1", 80, 140)])
+def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenarios, grid, name, received, heads):
+    # impair forms only the received desired signal; the receiver sees the interference-free buffer
+    # and each interfered point whose head passes the gate; every interfered point's head is a row of a batched gate
+    impaired, sizes = [], []
 
-    def counted(desired, *args, **kwargs):
-        sizes.append(np.size(getattr(desired, "samples", desired)))
+    def counted_impair(desired, *args, **kwargs):
+        impaired.append(np.size(getattr(desired, "samples", desired)))
         return impair(desired, *args, **kwargs)
 
-    monkeypatch.setattr(campaign, "impair", counted)
+    def counted_receive(samples, *args, **kwargs):
+        sizes.append(np.size(samples))
+        return receive_frame(samples, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "impair", counted_impair)
+    monkeypatch.setattr(campaign, "receive_frame", counted_receive)
     gated = _count_gate_rows(monkeypatch)
     run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed=0)
     frame = OfdmParams().frame_samples(campaign.FRAME_SYMBOLS)
     assert gate_length(frame, OfdmParams(), campaign.FRAME_SYMBOLS) == 1088
-    assert (sizes.count(frame), len(sizes)) == (full, full)
+    assert impaired == [frame]
+    assert (sizes.count(frame), len(sizes)) == (received, received)
     chunk = campaign.GATE_CHUNK_ROWS
     assert [shape for shape, _ in gated] == [(min(chunk, heads - c), 1088) for c in range(0, heads, chunk)]
 
@@ -587,24 +598,41 @@ def test_head_gate_changes_no_row(monkeypatch, scenarios, grid, name, seed):
 @pytest.mark.parametrize("name", ["dipole-0.1", "directional-0.1", "directional-1.8"])
 @pytest.mark.parametrize("seed", [0, 11])
 def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, grid, name, seed):
-    """Each batched head metric is bit for bit the gate metric of that point's own impair head."""
-    seen = []
-    head_metrics = campaign._head_metrics
+    """Each batched head is bit for bit the received head plus the interferer delayed by explicit index."""
+    formed = {}
 
-    def recorded(desired, interferer, params, keys, levels):
-        metrics = head_metrics(desired, interferer, params, keys, levels)
-        seen.append((desired, interferer, params, keys, levels, metrics))
-        return metrics
+    def recorded(attr, fn):
+        def call(*args, **kwargs):
+            formed[attr] = fn(*args, **kwargs)
+            return formed[attr]
 
-    monkeypatch.setattr(campaign, "_head_metrics", recorded)
-    run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed)
-    [(desired, interferer, params, keys, levels, batched)] = seen
-    head = gate_length(desired.size, params, campaign.FRAME_SYMBOLS)
-    assert keys.dtype == np.uint64 and len(keys) == len(levels) == batched.size > 100
-    for key, i_dbm, m in zip(keys.tolist(), levels, batched.tolist()):
-        mixed = impair(desired[:head], interferer, 0.0, -i_dbm, -math.inf, key)
-        want = gate_metric(mixed, params)
-        assert isinstance(want, float) and m.hex() == want.hex()
+        monkeypatch.setattr(campaign, attr, call)
+
+    recorded("impair", impair)
+    recorded("rig_frame", rig_frame)
+    gated = []
+
+    def gate(heads, params):
+        gated.append((heads.copy(), gate_metric(heads, params)))
+        return gated[-1][1]
+
+    monkeypatch.setattr(campaign, "gate_metric", gate)
+    scenario = replace(scenarios[name], engine="waveform")
+    table = run_capacity_sweep(scenario, grid, seed)
+    desired, (_, interferer) = formed["impair"], formed["rig_frame"]
+    heads = np.concatenate([h for h, _ in gated])
+    batched = np.concatenate([m for _, m in gated])
+    params = OfdmParams()
+    head, n = gate_length(desired.size, params, campaign.FRAME_SYMBOLS), interferer.size
+    rows = np.flatnonzero(table.interference_raw_dbm >= scenario.floor_dbm)
+    keys = point_keys(seed, campaign._DELAY_STREAM, np.column_stack((table.x, table.y, table.h))[rows])
+    assert len(rows) == len(heads) == batched.size > 100
+    for key, i_dbm, row, m in zip(keys.tolist(), table.interference_dbm[rows].tolist(), heads, batched.tolist()):
+        d = splitmix64(key) * n >> 64
+        want = desired[:head] + interferer[(np.arange(head) - d) % n] * 10.0 ** (i_dbm / 20.0)
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+        metric = gate_metric(want, params)
+        assert isinstance(metric, float) and m.hex() == metric.hex()
 
 
 _SMALL_GRID = GridSpec(x_step_m=6.0, y_step_m=6.0)
@@ -632,7 +660,7 @@ def test_gate_chunk_size_changes_no_table_bit(scenarios, name, seed, chunk):
 
 
 def test_waveform_sweep_retains_the_freed_heap(scenarios, grid):
-    # a dipole sweep never reaches measure_link, yet its passes must not give the heap back either
+    # a dipole sweep never reaches the full receiver pass, yet its passes must not give the heap back either
     _retain_freed_heap.cache_clear()
     run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid)
     assert _retain_freed_heap.cache_info().misses == 1

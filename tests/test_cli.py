@@ -243,6 +243,14 @@ def test_modem_iq_dump_of_frame_0_does_not_depend_on_the_frame_count(tmp_path, c
     assert dumps[0].read_bytes() == dumps[1].read_bytes()
 
 
+def test_modem_iq_dump_is_pinned(tmp_path, capsys):
+    # frame 0 through the rig with interference and noise, byte for byte
+    dump = tmp_path / "frame.iq"
+    assert run(["modem", "--snr", "15", "--sir", "5", "--frames", "2", "--dump-iq", str(dump)], capsys)[0] == 0
+    want = "35ea0033786a02d2b62d95d3ff738aefe3d71de15257c12464f892b4b82c01c9"
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == want
+
+
 def test_plan_reference_table(capsys):
     code, out, _ = run(["plan", "--uavs", "2"], capsys)
     assert code == 0

@@ -34,6 +34,7 @@ from uavfd.phy.modem import (
     _pilot_matrix,
     _preamble,
     _subcarrier_maps,
+    delayed_interferer,
     interferer_delay,
     splitmix64,
 )
@@ -298,14 +299,29 @@ def test_impair_leaves_inputs_untouched(interferer_kind, seed):
 
 @pytest.mark.parametrize("n", [1, 7, 1088, 32256])
 def test_interferer_delay_is_the_delay_impair_applies(n):
-    # a ramp interferer on a zero desired signal: output sample 0 is i[-delay mod n]
+    # a ramp interferer on a zero desired signal shorter than, as long as and longer than it:
+    # output sample k is i[(k - delay) mod n], and so is sample k of row `delay` of the delay table
     ramp = np.arange(n, dtype=np.complex128)
-    for seed in [0, 1, 77, 2**63 + 5, *range(1000, 1040)]:
-        delay = interferer_delay(seed, n)
-        assert delay == splitmix64(seed) * n >> 64 and 0 <= delay < n
-        out = impair(np.zeros(2 * n + 3, complex), ramp, 0.0, 0.0, seed=seed)
-        assert out[0].real == -delay % n
-        assert np.array_equal(out, ramp[(np.arange(out.size) - delay) % n])
+    for length in [1, n - 1, n, 2 * n + 3]:
+        want = lambda d: ramp[(np.arange(length) - d) % n]
+        table = delayed_interferer(ramp, length)
+        assert table.shape == (n + 1, length) and not table.flags.writeable
+        for seed in [0, 1, 77, 2**63 + 5, *range(1000, 1040)]:
+            delay = interferer_delay(seed, n)
+            assert delay == splitmix64(seed) * n >> 64 and 0 <= delay < n
+            out = impair(np.zeros(length, complex), ramp, 0.0, 0.0, seed=seed)
+            assert np.array_equal(out, want(delay)) and np.array_equal(table[delay], want(delay))
+        assert all(np.array_equal(table[d], want(d)) for d in {0, n - 1, n})
+
+
+@pytest.mark.parametrize("desired", [np.ones(5, complex), np.ones(0, complex)])
+def test_impair_rejects_an_empty_interferer(desired):
+    with pytest.raises(ValueError, match="interferer is empty"):
+        impair(desired, np.zeros(0, complex), 0.0, 0.0)
+    with pytest.raises(ValueError, match="interferer is empty"):
+        delayed_interferer(np.zeros(0, complex), desired.size)
+    # an interferer left out at infinite attenuation is never delayed
+    assert np.array_equal(impair(desired, np.zeros(0, complex), 0.0, math.inf), desired)
 
 
 @pytest.mark.parametrize("n", [1, 7, 1088, 32256, 2**32 - 1])
