@@ -13,13 +13,12 @@ error emulates manual beam alignment: `perturb_pointing` tilts a batch of
 boresights by angles the caller draws.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .geometry import float_or_array
+from .geometry import float_or_array, require_finite
 
 DIPOLE_ELEVATION_FLOOR = 1e-3  # linear floor on cos(elevation)
 
@@ -43,8 +42,7 @@ class AntennaSpec:
     front_to_back_db: float = 30.0
 
     def __post_init__(self):
-        if not math.isfinite(self.boresight_gain_dbi):
-            raise ValueError("boresight_gain_dbi must be finite")
+        require_finite(self)
         if self.kind is AntennaKind.HORN:
             if not (0.0 < self.hpbw_deg < 180.0):
                 raise ValueError(f"hpbw_deg must be in (0, 180), got {self.hpbw_deg}")

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .antenna import AntennaSpec, dipole, horn, perturb_pointing
-from .geometry import Position, distance
+from .geometry import Position, distance, require_finite
 from .metrics import (
     DEFAULT_SINR_CEILING_DB,
     CapacityConfig,
@@ -72,7 +72,17 @@ NEAR_FIELD_DISTANCE_M = 1.0
 FRAME_SYMBOLS = 28  # OFDM data symbols per frame of the waveform capacity sweep
 GATE_CHUNK_ROWS = 8  # interfered heads per batched sync-gate call of the waveform sweep
 
-SWEEP_CSV_COLUMNS = ["x_m", "y_m", "h_m", "p_int_dbm", "p_des_dbm", "evm", "sinr_db", "capacity_bps", "sync_ok"]
+_FINITE = ("finite", np.isfinite)
+_NON_NEGATIVE = ("finite and >= 0", lambda c: np.isfinite(c) & (c >= 0.0))
+# the sweep CSV, column by column: header, SweepTable column, format and the rule its known values meet
+_SWEEP_CSV = [
+    ("x_m", "x", ".3f", _FINITE), ("y_m", "y", ".3f", _FINITE), ("h_m", "h", ".3f", _FINITE),
+    ("p_int_dbm", "interference_dbm", ".4f", _FINITE), ("p_des_dbm", "desired_dbm", ".4f", _FINITE),
+    ("evm", "evm_rms", ".6e", _NON_NEGATIVE), ("sinr_db", "sinr_db", ".4f", _FINITE),
+    ("capacity_bps", "capacity_bps", ".3f", _NON_NEGATIVE),
+    ("sync_ok", "sync_ok", ".0f", ("0 or 1", lambda c: (c == 0.0) | (c == 1.0))),  # 1.0/0.0 print as 1/0
+]
+SWEEP_CSV_COLUMNS = [header for header, *_ in _SWEEP_CSV]
 
 # A sweep table holds 80 bytes per point (ten float64 columns); 1M points is 5.5x the 0.1 m grid.
 MAX_GRID_POINTS = 1_000_000
@@ -93,9 +103,7 @@ class GridSpec:
     y_step_m: float = 2.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        require_finite(self)
         if self.x_step_m <= 0 or self.y_step_m <= 0:
             raise ValueError("grid steps must be > 0")
         if self.x_end_m < self.x_start_m or self.y_end_m < self.y_start_m:
@@ -134,9 +142,7 @@ class ScenarioConfig:
     pointing_sigma_deg: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        require_finite(self)
         for field_name in ("bandwidth_hz", "carrier_freq_hz"):
             if getattr(self, field_name) <= 0.0:
                 raise ValueError(f"{field_name} must be > 0")
@@ -299,11 +305,6 @@ def point_keys(seed: int, stream: int, pos: np.ndarray) -> np.ndarray:
     return key_fold(seed, stream, ((mm << 1) ^ (mm >> 63)).view(np.uint64))
 
 
-def rig_seeds(seed: int, *words: int) -> list[int]:
-    """The rig's run seeds over a few int words: the desired and the interferer payload, then impair's."""
-    return [int(key_fold(seed, s, [words])[0]) for s in _RIG_STREAMS]
-
-
 def pointing_errors(seed: int, pos: np.ndarray, sigma_deg: float) -> tuple[np.ndarray, np.ndarray]:
     """Each (N, 3) position row's pointing error: a deviation in degrees and an azimuth in radians.
 
@@ -325,14 +326,16 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
     at the ground station from every grid point, and its received power is
     clamped below at the instrument floor.  All interference gains come
     from one `link_gain_db` call over the grid's (N, 3) position array.
-    A negative seed, or a grid point on the ground station (no aim): ValueError.
+    A negative seed, a grid point on the ground station (no aim) or one
+    whose desired or interference link gain is not finite: ValueError.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     f = scenario.carrier_freq_hz
     rx2 = NodeConfig(RX2_POSITION, scenario.antenna, GS_POSITION)
     tx2 = NodeConfig(GS_POSITION, scenario.antenna, RX2_POSITION)
-    desired = max(scenario.p_g_dbm + link_gain_db(tx2, rx2, f), scenario.floor_dbm)
+    desired_gain = link_gain_db(tx2, rx2, f)
+    desired = max(scenario.p_g_dbm + desired_gain, scenario.floor_dbm)
 
     pos = grid_positions(grid, scenario.interferer_height_m)
     gs = np.array(GS_POSITION.as_tuple())
@@ -353,6 +356,9 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
     friis_d = np.maximum(d[apart], NEAR_FIELD_DISTANCE_M)
     tx1 = NodeConfig(pos[apart], scenario.antenna, aims[apart])
     gain[apart] = link_gain_db(tx1, rx2, f) + (fspl_db(d[apart], f) - fspl_db(friis_d, f))
+    finite = np.isfinite(gain) & math.isfinite(desired_gain)
+    if not finite.all():  # the capacity stage would read a NaN level as below the floor: as no interference
+        raise ValueError("grid point ({:g}, {:g}, {:g}) m has a non-finite link gain".format(*pos[finite.argmin()]))
     raw = scenario.p_u_dbm + gain
     n = len(pos)
     powers = (np.maximum(raw, scenario.floor_dbm), raw, np.full(n, desired))
@@ -360,19 +366,20 @@ def run_power_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> 
 
 
 def rig_frame(
-    params: OfdmParams, n_symbols: int, payload_seeds, interferer: bool = True
-) -> tuple[FrameBuffer, np.ndarray | None]:
-    """The rig's desired frame and, if asked, the interferer's stream, from two payload seeds.
+    params: OfdmParams, n_symbols: int, seed: int, *words: int, interferer: bool = True
+) -> tuple[FrameBuffer, np.ndarray | None, int]:
+    """The rig's desired frame, the interferer's stream if asked, and impair's seed.
 
-    The interfering uplink is a free-running co-channel modem: the victim
-    sees its continuous data stream, not a preamble.
+    Each comes from its own `key_fold` rig stream over (seed, *words).  The
+    interferer is a free-running co-channel modem: data, never a preamble.
     """
+    desired_seed, interferer_seed, impair_seed = (int(key_fold(seed, s, [words])[0]) for s in _RIG_STREAMS)
     payload_bits = params.payload_bits(n_symbols)
-    frame = build_frame(params, np.random.default_rng(payload_seeds[0]).integers(0, 2, payload_bits))
+    frame = build_frame(params, np.random.default_rng(desired_seed).integers(0, 2, payload_bits))
     if not interferer:
-        return frame, None
-    bits = np.random.default_rng(payload_seeds[1]).integers(0, 2, payload_bits)
-    return frame, build_frame(params, bits, pilot_stream=1).body_stream()
+        return frame, None, impair_seed
+    bits = np.random.default_rng(interferer_seed).integers(0, 2, payload_bits)
+    return frame, build_frame(params, bits, pilot_stream=1).body_stream(), impair_seed
 
 
 def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) -> SweepTable:
@@ -408,8 +415,7 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         table.sync_ok[:] = 1.0
     else:
         params = OfdmParams()
-        *payload_seeds, noise_seed = rig_seeds(seed)
-        frame, interferer = rig_frame(params, FRAME_SYMBOLS, payload_seeds)
+        frame, interferer, noise_seed = rig_frame(params, FRAME_SYMBOLS, seed)
         # common random numbers: the desired level is one per sweep and the
         # receiver noise is drawn once for every point, so the received desired
         # signal is formed once; the noise is white, its PSD fixed by the
@@ -463,11 +469,6 @@ def mirror_symmetry(table: SweepTable) -> SweepTable:
     return out
 
 
-# (table column, format) in SWEEP_CSV_COLUMNS order; sync_ok's 1.0/0.0 print as 1/0
-_CSV_FORMATS = [
-    ("x", ".3f"), ("y", ".3f"), ("h", ".3f"), ("interference_dbm", ".4f"), ("desired_dbm", ".4f"),
-    ("evm_rms", ".6e"), ("sinr_db", ".4f"), ("capacity_bps", ".3f"), ("sync_ok", ".0f"),
-]
 _CSV_BLOCK_ROWS = 1 << 16  # rows formatted and written at a time, so a large file's text never sits whole in memory
 
 
@@ -493,25 +494,17 @@ def write_csv_columns(path, header: list[str], columns) -> None:
 
 def write_sweep_csv(path, table: SweepTable) -> None:
     """Write a sweep table in the canonical sweep CSV schema (stable byte output)."""
-    write_csv_columns(path, SWEEP_CSV_COLUMNS, [(getattr(table, name), spec) for name, spec in _CSV_FORMATS])
-
-
-# sweep CSV fields with a rule beyond finite; a NaN reads as unknown in any field past the first five
-_CSV_FIELD_RULES = {
-    "evm": ("finite and >= 0", lambda c: np.isfinite(c) & (c >= 0.0)),
-    "capacity_bps": ("finite and >= 0", lambda c: np.isfinite(c) & (c >= 0.0)),
-    "sync_ok": ("0 or 1", lambda c: (c == 0.0) | (c == 1.0)),
-}
+    write_csv_columns(path, SWEEP_CSV_COLUMNS, [(getattr(table, column), spec) for _, column, spec, _ in _SWEEP_CSV])
 
 
 def read_sweep_csv(path) -> SweepTable:
     """Read a sweep CSV back into a table.
 
     The CSV stores reported (clamped) interference only, so the raw
-    interference column reads as unknown (NaN); empty EVM, SINR, capacity
-    and sync fields read as NaN.  Position and power fields are required:
-    an empty or NaN one raises ValueError, as does an infinite field, a
-    negative EVM or capacity, or a sync_ok other than 0 or 1.
+    interference column reads as unknown (NaN).  An empty field reads as
+    NaN, which only EVM, SINR, capacity and sync may hold: any other NaN
+    raises ValueError naming the file, row and column, as does an infinite
+    field, a negative EVM or capacity, or a sync_ok other than 0 or 1.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -521,21 +514,21 @@ def read_sweep_csv(path) -> SweepTable:
     rows = lines[1:]
     if not rows:
         raise ValueError(f"{path}: no records")
-    width = len(SWEEP_CSV_COLUMNS)
+    width = len(_SWEEP_CSV)
     for i, row in enumerate(rows):
         if row.count(",") != width - 1:
             raise ValueError(f"{path}: row {i + 2} has {len(row.split(','))} fields")
     cells = ",".join(rows).split(",")
     cols = [cells[j::width] for j in range(width)]
-    for c in cols[5:]:  # empty EVM, SINR, capacity and sync fields read as NaN; the others are required
-        if "" in c:
-            c[:] = [v or "nan" for v in c]
-    cols = [np.array(c, dtype=float) for c in cols]
-    for j, (name, c) in enumerate(zip(SWEEP_CSV_COLUMNS, cols)):
-        if j < 5 and np.isnan(c).any():
-            raise ValueError(f"{path}: row {np.isnan(c).argmax() + 2} has a NaN {name}")
-        rule, ok = _CSV_FIELD_RULES.get(name, ("finite", np.isfinite))
-        bad = ~(ok(c) | np.isnan(c))
+    # an empty field reads as NaN
+    cols = [np.array(c if all(c) else [v or "nan" for v in c], dtype=float) for c in cols]
+    by_name = {"interference_raw_dbm": _unknown(len(rows))}
+    for (header, column, _, (rule, ok)), c in zip(_SWEEP_CSV, cols):
+        unknown = np.isnan(c)
+        if column not in _CAPACITY_COLUMNS and unknown.any():
+            raise ValueError(f"{path}: row {unknown.argmax() + 2} has a NaN {header}, a field that must be given")
+        bad = ~(ok(c) | unknown)
         if bad.any():
-            raise ValueError(f"{path}: row {bad.argmax() + 2} has {name} {c[bad.argmax()]:g}, which must be {rule}")
-    return SweepTable(*cols[:4], _unknown(len(rows)), *cols[4:])
+            raise ValueError(f"{path}: row {bad.argmax() + 2} has {header} {c[bad.argmax()]:g}, which must be {rule}")
+        by_name[column] = c
+    return SweepTable(**by_name)

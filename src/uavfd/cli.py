@@ -23,7 +23,6 @@ from .campaign import (
     mirror_symmetry,
     read_sweep_csv,
     rig_frame,
-    rig_seeds,
     run_capacity_sweep,
     write_csv_columns,
     write_sweep_csv,
@@ -44,7 +43,6 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario_name: str
     scenario: ScenarioConfig
     grid: GridSpec
     seed: int
@@ -148,7 +146,7 @@ def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str
         if seed < 0:
             raise DataError(f"{path}:{lineno}: seed must be >= 0")
     out_dir = Path(entries["out"][0]) if "out" in entries else Path(".")
-    return RunConfig(scenario_name=name, scenario=scenario, grid=grid, seed=seed, out_dir=out_dir)
+    return RunConfig(scenario=scenario, grid=grid, seed=seed, out_dir=out_dir)
 
 
 def _resolve_scenario(name: str, presets: dict[str, ScenarioConfig]) -> ScenarioConfig:
@@ -168,7 +166,7 @@ def _cmd_sweep(args) -> int:
         if not args.scenario:
             raise UsageError("sweep needs --scenario (or --config with a scenario key)")
         scenario = _resolve_scenario(args.scenario, presets)
-        run = RunConfig(args.scenario, scenario, GridSpec(), seed=0, out_dir=Path("."))
+        run = RunConfig(scenario, GridSpec(), seed=0, out_dir=Path("."))
 
     scenario = run.scenario
     if args.engine:
@@ -191,7 +189,7 @@ def _cmd_sweep(args) -> int:
     for tag in ("power", "capacity", "power_mirrored", "capacity_mirrored"):
         table = capacity if tag.startswith("capacity") else power
         rows = mirror_symmetry(table) if tag.endswith("_mirrored") else table
-        dest = out_dir / f"{run.scenario_name}_{tag}.csv"
+        dest = out_dir / f"{scenario.name}_{tag}.csv"
         write_sweep_csv(dest, rows)
         print(f"wrote {dest} ({len(rows)} rows)")
     return 0
@@ -225,8 +223,7 @@ def _cmd_modem(args) -> int:
     evm_sq_sum = 0.0
     n_ok = 0
     for k in range(args.frames):
-        *payload_seeds, impair_seed = rig_seeds(args.seed, k)
-        frame, interferer = rig_frame(params, args.symbols, payload_seeds, interferer=args.sir != math.inf)
+        frame, interferer, impair_seed = rig_frame(params, args.symbols, args.seed, k, interferer=args.sir != math.inf)
         mixed = impair(frame, interferer, 0.0, args.sir, noise_dbm, impair_seed)
         rx = receive_frame(mixed, params, frame.data_symbols, decode=False)
         if args.dump_iq and k == 0:
@@ -306,10 +303,10 @@ MAX_LEVEL_DB = 1000.0
 
 def _float_or_inf(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if math.isnan(value) or value == -math.inf:  # either would push NaN samples through the receiver
+        value = _threshold(text)
+    except argparse.ArgumentTypeError:  # a NaN, rejected below with this flag's message
+        value = -math.inf
+    if value == -math.inf:  # NaN or -inf would push NaN samples through the receiver
         raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
     if value != math.inf and abs(value) > MAX_LEVEL_DB:
         raise argparse.ArgumentTypeError(f"expected a level within ±{MAX_LEVEL_DB:g} dB or 'inf', got {text!r}")

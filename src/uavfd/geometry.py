@@ -8,9 +8,16 @@ angle functions take Positions or (..., 3) position arrays and broadcast them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+def require_finite(config) -> None:
+    """Raise ValueError for the first float field of a dataclass instance that is not finite."""
+    for f in fields(config):
+        if f.type is float and not math.isfinite(v := getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -21,11 +28,7 @@ class Position:
     y: float
     z: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Position.{name} must be finite, got {v!r}")
+    __post_init__ = require_finite
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import float_or_array
+from .geometry import float_or_array, require_finite
 
 DEFAULT_SINR_CEILING_DB = 40.0  # cap applied when EVM underflows to 0
 TDD_DUTY = 0.5  # share of time a TDD link holds the channel
@@ -24,6 +24,7 @@ class CapacityConfig:
     bandwidth_hz: float = 10e6
 
     def __post_init__(self):
+        require_finite(self)
         if self.bandwidth_hz <= 0.0:
             raise ValueError("bandwidth_hz must be > 0")
 

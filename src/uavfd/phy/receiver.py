@@ -212,13 +212,10 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
     h_per_symbol = rx_pilots / pilots
     align = np.angle(np.sum(h_per_symbol * np.conj(h_per_symbol[0])[None, :], axis=1))
     h_pilot = np.mean(h_per_symbol * np.exp(-1j * align)[:, None], axis=0)
-    all_pos = np.arange(params.active_subcarriers)
-    h_active = np.interp(all_pos, pilot_pos, h_pilot.real) + 1j * np.interp(all_pos, pilot_pos, h_pilot.imag)
-    h_data = h_active[data_pos]
-    h_p = h_active[pilot_pos]
+    h_data = np.interp(data_pos, pilot_pos, h_pilot.real) + 1j * np.interp(data_pos, pilot_pos, h_pilot.imag)
 
     # per-symbol common phase from the pilots, then one-tap equalization
-    cpe = np.angle(np.sum(rx_pilots * np.conj(h_p[None, :] * pilots), axis=1))
+    cpe = np.angle(np.sum(rx_pilots * np.conj(h_pilot[None, :] * pilots), axis=1))
     y_eq = rx_data / h_data[None, :] * np.exp(-1j * cpe)[:, None]
 
     evm = float(np.sqrt(np.mean(np.abs(y_eq - ref) ** 2)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ def test_spec_validation():
         AntennaSpec(AntennaKind.HORN, 21.0, front_to_back_db=-1.0)
     with pytest.raises(ValueError):
         AntennaSpec(AntennaKind.HORN, math.nan)
+
+
+@pytest.mark.parametrize("kind", list(AntennaKind))
+@pytest.mark.parametrize("field", ["boresight_gain_dbi", "hpbw_deg", "front_to_back_db"])
+def test_spec_rejects_a_non_finite_field_of_either_kind(kind, field):
+    # the dipole ignores its horn fields, but a NaN one still may not pass
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            replace(AntennaSpec(kind, 2.5), **{field: value})
 
 
 def _reference_perturb(b, theta_deg: float, phi: float) -> np.ndarray:

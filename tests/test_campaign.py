@@ -17,6 +17,7 @@ from uavfd.campaign import (
     SweepRecord,
     SweepTable,
     grid_positions,
+    key_fold,
     mirror_symmetry,
     point_keys,
     pointing_errors,
@@ -149,11 +150,11 @@ def test_measure_link_one_frame_through_the_rig():
         mixed = impair(frame, interferer, 0.0, atten_interferer_db, -math.inf, 3)
         return mixed, receive_frame(mixed, params, frame.data_symbols, decode=False)
 
-    frame, interferer = rig_frame(params, 4, (1, 2))
+    frame, interferer, _ = rig_frame(params, 4, 1)
     mixed, rx = measured(frame, interferer, math.inf)
     assert rx.sync_success and rx.evm_rms < 1e-9
     assert mixed.size == params.frame_samples(4)
-    again, _ = measured(*rig_frame(params, 4, (1, 2)), math.inf)
+    again, _ = measured(*rig_frame(params, 4, 1)[:2], math.inf)
     assert np.array_equal(mixed, again)
     # a finite interferer attenuation adds the interferer's stream
     jammed, rx_i = measured(frame, interferer, 10.0)
@@ -453,7 +454,8 @@ def test_waveform_sweep_builds_one_generator_per_payload_and_one_for_the_noise(m
     monkeypatch.setattr(np.random, "default_rng", counted)
     table = run_capacity_sweep(sc, grid)
     assert len(table) == 496 and not table.sync_ok.any()
-    assert built == campaign.rig_seeds(0)
+    # the desired and the interferer payload, then impair's noise, each from its rig stream over no words
+    assert built == [int(key_fold(0, s, [()])[0]) for s in campaign._RIG_STREAMS]
 
 
 def test_point_keys_of_a_million_point_grid_are_distinct():
@@ -619,7 +621,7 @@ def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, g
     monkeypatch.setattr(campaign, "gate_metric", gate)
     scenario = replace(scenarios[name], engine="waveform")
     table = run_capacity_sweep(scenario, grid, seed)
-    desired, (_, interferer) = formed["impair"], formed["rig_frame"]
+    desired, (_, interferer, _) = formed["impair"], formed["rig_frame"]
     heads = np.concatenate([h for h, _ in gated])
     batched = np.concatenate([m for _, m in gated])
     params = OfdmParams()
@@ -731,7 +733,7 @@ def test_csv_read_rejects_an_empty_position_or_power(tmp_path, capacity_dir01_an
     fields = first.split(",")
     fields[column] = ""
     path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
-    with pytest.raises(ValueError, match="could not convert"):
+    with pytest.raises(ValueError, match=f"row 2 has a NaN {SWEEP_CSV_COLUMNS[column]}"):
         read_sweep_csv(path)
 
 

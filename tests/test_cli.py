@@ -373,6 +373,21 @@ def test_cdf_and_place_reject_an_infinite_or_out_of_range_field(tmp_path, capsys
     assert not (tmp_path / "directional-0.1_capacity_cdf.csv").exists()
 
 
+@pytest.mark.parametrize("args", [["cdf"], ["place", "--objective", "min-interference"]])
+def test_cdf_and_place_name_an_empty_level(tmp_path, capsys, args):
+    # before, numpy's bare "could not convert string to float: ''" named no file, row or column
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    path = tmp_path / "directional-0.1_power.csv"
+    header, first, second, *rest = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[3] = ""
+    path.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
+    code, out, err = run([args[0], str(path), *args[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{path}: row 3 has a NaN p_int_dbm" in err
+
+
 def test_place_unknown_objective(tmp_path, capsys):
     run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
     code, _, err = run(
@@ -451,6 +466,44 @@ def test_config_bad_antenna_is_data_error(tmp_path, capsys):
     code, _, err = run(["sweep", "--config", str(cfg)], capsys)
     assert code == 2
     assert "bad.cfg:" in err and "hpbw_deg" in err
+
+
+@pytest.mark.parametrize(
+    "preset,line",
+    [
+        ("directional-0.1", "antenna.front_to_back_db = nan"),
+        ("directional-0.1", "antenna.front_to_back_db = inf"),
+        ("directional-0.1", "antenna.hpbw_deg = nan"),
+        ("dipole-0.1", "antenna.hpbw_deg = nan"),
+        ("dipole-0.1", "antenna.front_to_back_db = -inf"),
+    ],
+)
+def test_config_non_finite_antenna_value_is_data_error(tmp_path, capsys, preset, line):
+    # before, a NaN front-to-back ratio swept with exit 0 and wrote empty p_des_dbm, sinr_db and capacity_bps fields
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = {preset}\nout = {tmp_path}\n{line}\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    field, _, value = line.removeprefix("antenna.").split()
+    assert f"bad.cfg: invalid scenario override: {field} must be finite, got {value}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# numpy warns of the overflow on its way to the NaN gain
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("engine", ["analytic", "waveform"])
+def test_sweep_with_a_non_finite_link_gain_is_data_error(tmp_path, capsys, engine):
+    # before, every point read the NaN interference as none: 37.2 Mbps, sync_ok 1 and an empty p_int_dbm
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        f"scenario = directional-0.1\nout = {tmp_path}\nscenario.interferer_height_m = 1e300\ngrid.y_end = 2\n"
+    )
+    code, out, err = run(["sweep", "--config", str(cfg), "--engine", engine], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot sweep this grid: grid point (10, 0, 1e+300) m has a non-finite link gain" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize(

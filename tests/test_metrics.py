@@ -78,6 +78,9 @@ def test_capacity_tdd_below_fd():
 def test_capacity_config_validation():
     with pytest.raises(ValueError):
         CapacityConfig(bandwidth_hz=0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"bandwidth_hz must be finite, got {value}"):
+            CapacityConfig(bandwidth_hz=value)
 
 
 def test_cdf_steps():
