@@ -42,7 +42,7 @@ class AntennaSpec:
     front_to_back_db: float = 30.0
 
     def __post_init__(self):
-        require_finite(self)
+        require_finite(self, ("boresight_gain_dbi", "front_to_back_db"))
         if self.kind is AntennaKind.HORN:
             if not (0.0 < self.hpbw_deg < 180.0):
                 raise ValueError(f"hpbw_deg must be in (0, 180), got {self.hpbw_deg}")

@@ -41,6 +41,7 @@ all work on whole columns; rows come out as `SweepRecord`s on demand.
 """
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -142,7 +143,7 @@ class ScenarioConfig:
     pointing_sigma_deg: float = 0.0
 
     def __post_init__(self):
-        require_finite(self)
+        require_finite(self, ("p_g_dbm", "p_u_dbm", "floor_dbm", "noise_figure_db", "tdd_snr_db", "sinr_ceiling_db"))
         for field_name in ("bandwidth_hz", "carrier_freq_hz"):
             if getattr(self, field_name) <= 0.0:
                 raise ValueError(f"{field_name} must be > 0")
@@ -483,18 +484,60 @@ def _format_column(values: np.ndarray, spec: str) -> list[str]:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
+def _csv_rows(columns, start: int) -> list[str]:
+    """The block of _CSV_BLOCK_ROWS rows from start of (values, format spec) columns as CSV lines."""
+    rows = slice(start, start + _CSV_BLOCK_ROWS)
+    return list(map(",".join, zip(*(_format_column(values[rows], spec) for values, spec in columns))))
+
+
 def write_csv_columns(path, header: list[str], columns) -> None:
     """Write a CSV from (values, format spec) columns under a header; NaN writes as an empty field."""
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0][0]), _CSV_BLOCK_ROWS):
-            block = (_format_column(values[start : start + _CSV_BLOCK_ROWS], spec) for values, spec in columns)
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            fh.write("\n".join(_csv_rows(columns, start)) + "\n")
 
 
 def write_sweep_csv(path, table: SweepTable) -> None:
     """Write a sweep table in the canonical sweep CSV schema (stable byte output)."""
     write_csv_columns(path, SWEEP_CSV_COLUMNS, [(getattr(table, column), spec) for _, column, spec, _ in _SWEEP_CSV])
+
+
+def write_sweep_csvs(paths, table: SweepTable) -> list[int]:
+    """Write to four paths, in one pass, what write_sweep_csv writes for table.power_map(), table,
+    mirror_symmetry(table.power_map()) and mirror_symmetry(table); give their row counts.  Each block of
+    rows is formatted once, and the mirrored files append the flipped rows to the plain files' bytes."""
+    flipped = mirror_symmetry(table)[len(table) :]
+    # a power row is a row's leading fields, then the capacity stage's fields (the schema's last) left empty
+    lead_fields, power_end = len(_SWEEP_CSV) - len(_CAPACITY_COLUMNS), "," * len(_CAPACITY_COLUMNS) + "\n"
+    with ExitStack() as stack:
+        files = [stack.enter_context(Path(p).open("w", newline="")) for p in paths]
+        for fh in files:
+            fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+        for part, targets in ((table, files), (flipped, files[2:])):
+            columns = [(getattr(part, column), spec) for _, column, spec, _ in _SWEEP_CSV]
+            for start in range(0, len(part), _CSV_BLOCK_ROWS):
+                lead = _csv_rows(columns[:lead_fields], start)
+                full = map(",".join, zip(lead, _csv_rows(columns[lead_fields:], start)))
+                blocks = (power_end.join(lead) + power_end, "\n".join(full) + "\n")
+                for fh, block in zip(targets, blocks * 2):  # power, capacity, then their mirrored files
+                    fh.write(block)
+    return [len(table)] * 2 + [len(table) + len(flipped)] * 2
+
+
+def _parse_column(path: Path, header: str, fields: list[str]) -> np.ndarray:
+    """A CSV column as floats, an empty field as NaN; a column of one repeated field is parsed once."""
+    if len(fields) > 1 and fields.count(fields[0]) == len(fields):
+        return np.full(len(fields), _parse_column(path, header, fields[:1])[0])
+    try:
+        return np.array(fields if all(fields) else [v or "nan" for v in fields], dtype=float)
+    except ValueError:  # name the first field that is not a number
+        for i, v in enumerate(fields):
+            try:
+                float(v or "nan")
+            except ValueError:
+                raise ValueError(f"{path}: row {i + 2} has {header} {v!r}, which is not a number") from None
+        raise
 
 
 def read_sweep_csv(path) -> SweepTable:
@@ -519,9 +562,7 @@ def read_sweep_csv(path) -> SweepTable:
         if row.count(",") != width - 1:
             raise ValueError(f"{path}: row {i + 2} has {len(row.split(','))} fields")
     cells = ",".join(rows).split(",")
-    cols = [cells[j::width] for j in range(width)]
-    # an empty field reads as NaN
-    cols = [np.array(c if all(c) else [v or "nan" for v in c], dtype=float) for c in cols]
+    cols = [_parse_column(path, header, cells[j::width]) for j, header in enumerate(SWEEP_CSV_COLUMNS)]
     by_name = {"interference_raw_dbm": _unknown(len(rows))}
     for (header, column, _, (rule, ok)), c in zip(_SWEEP_CSV, cols):
         unknown = np.isnan(c)

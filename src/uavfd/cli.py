@@ -20,14 +20,14 @@ from .campaign import (
     GridSpec,
     ScenarioConfig,
     builtin_scenarios,
-    mirror_symmetry,
     read_sweep_csv,
     rig_frame,
     run_capacity_sweep,
     write_csv_columns,
-    write_sweep_csv,
+    write_sweep_csvs,
 )
 from .duplexing import build_channel_plan, format_plan_table, validate_plan
+from .geometry import MAX_LEVEL_DB
 from .metrics import cdf, cdf_at, sinr_analytic, sinr_from_evm
 from .phy import OfdmParams, impair, noise_power_for_subcarrier_snr, receive_frame, write_iq
 from .placement import ObjectiveKind, PlacementObjective, best_record, feasible_region
@@ -174,24 +174,19 @@ def _cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else run.seed
     if seed < 0:
         raise UsageError("--seed must be >= 0")
-    out_dir = Path(args.out) if args.out else run.out_dir
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise DataError(f"cannot create output directory {out_dir}: {e}") from e
-
     try:
         capacity = run_capacity_sweep(scenario, run.grid, seed)
     except ValueError as e:
         raise DataError(f"cannot sweep this grid: {e}") from e
-    power = capacity.power_map()
 
-    for tag in ("power", "capacity", "power_mirrored", "capacity_mirrored"):
-        table = capacity if tag.startswith("capacity") else power
-        rows = mirror_symmetry(table) if tag.endswith("_mirrored") else table
-        dest = out_dir / f"{scenario.name}_{tag}.csv"
-        write_sweep_csv(dest, rows)
-        print(f"wrote {dest} ({len(rows)} rows)")
+    out_dir = Path(args.out) if args.out else run.out_dir
+    try:  # only once the sweep has succeeded, so a failed one leaves no empty directory
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create output directory {out_dir}: {e}") from e
+    dests = [out_dir / f"{scenario.name}_{tag}{m}.csv" for m in ("", "_mirrored") for tag in ("power", "capacity")]
+    for dest, rows in zip(dests, write_sweep_csvs(dests, capacity)):
+        print(f"wrote {dest} ({rows} rows)")
     return 0
 
 
@@ -295,10 +290,6 @@ def _cmd_place(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-# Levels beyond this push 10 ** (dB / 10) past float64 in the noise and attenuator math.
-MAX_LEVEL_DB = 1000.0
 
 
 def _float_or_inf(text: str) -> float:

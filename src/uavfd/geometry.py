@@ -13,11 +13,18 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-def require_finite(config) -> None:
-    """Raise ValueError for the first float field of a dataclass instance that is not finite."""
+# Levels beyond this push 10 ** (dB / 10) past float64 in the noise and attenuator math.
+MAX_LEVEL_DB = 1000.0
+
+
+def require_finite(config, levels: tuple[str, ...] = ()) -> None:
+    """Raise ValueError for a dataclass's first non-finite float field, then its first `levels` past ±MAX_LEVEL_DB."""
     for f in fields(config):
         if f.type is float and not math.isfinite(v := getattr(config, f.name)):
             raise ValueError(f"{f.name} must be finite, got {v}")
+    for name in levels:
+        if abs(v := getattr(config, name)) > MAX_LEVEL_DB:
+            raise ValueError(f"{name} must be within ±{MAX_LEVEL_DB:g} dB, got {v}")
 
 
 @dataclass(frozen=True)

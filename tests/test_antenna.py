@@ -65,6 +65,15 @@ def test_spec_rejects_a_non_finite_field_of_either_kind(kind, field):
             replace(AntennaSpec(kind, 2.5), **{field: value})
 
 
+@pytest.mark.parametrize("kind", list(AntennaKind))
+@pytest.mark.parametrize("field", ["boresight_gain_dbi", "front_to_back_db"])
+def test_spec_bounds_its_levels(kind, field):
+    for value in (-1000.001, 1000.001):
+        with pytest.raises(ValueError, match=f"{field} must be within ±1000 dB, got {value}"):
+            replace(AntennaSpec(kind, 2.5), **{field: value})
+    assert getattr(replace(AntennaSpec(kind, 2.5), **{field: 1000.0}), field) == 1000.0
+
+
 def _reference_perturb(b, theta_deg: float, phi: float) -> np.ndarray:
     """One boresight at a time, as the scalar rotation did it."""
     b = np.asarray(b, dtype=float)

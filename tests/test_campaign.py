@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavfd import campaign
@@ -26,9 +26,10 @@ from uavfd.campaign import (
     run_capacity_sweep,
     run_power_sweep,
     write_sweep_csv,
+    write_sweep_csvs,
 )
 from uavfd.antenna import perturb_pointing
-from uavfd.geometry import Position
+from uavfd.geometry import MAX_LEVEL_DB, Position
 from uavfd.metrics import capacity_fd, coverage_fraction, sinr_analytic
 from uavfd.phy import (
     SYNC_THRESHOLD,
@@ -140,6 +141,19 @@ def test_scenario_validation(scenarios):
 def test_scenario_rejects_bad_numbers(scenarios, field, value):
     with pytest.raises(ValueError, match=field):
         replace(scenarios["directional-0.1"], **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field", ["p_g_dbm", "p_u_dbm", "floor_dbm", "noise_figure_db", "tdd_snr_db", "sinr_ceiling_db"]
+)
+def test_scenario_bounds_its_levels(scenarios, field):
+    for preset in scenarios.values():
+        assert abs(getattr(preset, field)) <= MAX_LEVEL_DB
+    for value in (-1000.001, 1000.001):
+        with pytest.raises(ValueError, match=f"{field} must be within ±1000 dB, got {value}"):
+            replace(scenarios["directional-0.1"], **{field: value})
+    for value in (-MAX_LEVEL_DB, MAX_LEVEL_DB):
+        assert getattr(replace(scenarios["directional-0.1"], **{field: value}), field) == value
 
 
 def test_measure_link_one_frame_through_the_rig():
@@ -754,17 +768,20 @@ def test_csv_read_rejects_a_nan_position_or_power(tmp_path, capacity_dir01_analy
     "column,value",
     [(c, v) for c in range(5) for v in ("inf", "-inf")]
     + [(5, "-0.5"), (5, "inf"), (6, "inf"), (6, "-inf"), (7, "-1.000"), (7, "inf"), (8, "2"), (8, "-1"), (8, "0.5")]
-    + [(8, "inf")],
+    + [(8, "inf")]
+    + [(c, "abc") for c in range(9)],
 )
 def test_csv_read_rejects_an_infinite_or_out_of_range_field(tmp_path, capacity_dir01_analytic, column, value):
-    # uavfd never writes these: place reported value=inf bps and cdf wrote a -inf step from such a file
+    # uavfd never writes these: place reported value=inf bps and cdf wrote a -inf step from such a file;
+    # before, "abc" gave numpy's bare "could not convert string to float: 'abc'"
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, capacity_dir01_analytic)
     header, first, second, *rest = path.read_text().splitlines()
     fields = second.split(",")
     fields[column] = value
     path.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
-    with pytest.raises(ValueError, match=f"row 3 has {SWEEP_CSV_COLUMNS[column]} {float(value):g}, which must be"):
+    shown = "'abc', which is not a number" if value == "abc" else f"{float(value):g}, which must be"
+    with pytest.raises(ValueError, match=f"^{path}: row 3 has {SWEEP_CSV_COLUMNS[column]} {shown}"):
         read_sweep_csv(path)
 
 
@@ -868,6 +885,63 @@ def test_csv_blocks_join_seamlessly(tmp_path, monkeypatch, capacity_dir01_analyt
     monkeypatch.setattr(campaign, "_CSV_BLOCK_ROWS", 7)
     write_sweep_csv(tmp_path / "blocks.csv", table)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+_EDGE_TABLE = _table(  # -0.0 fields and y <= 0 rows, which the mirrored files must not repeat
+    [[1.0, -0.0, 2.0, 3.0], [0.0, -0.0, -1.0, 2.0], [-0.0] * 4, [-0.0, -95.0, 1.0, 2.0], [math.nan] * 4,
+     [-0.0] * 4, [math.nan, 0.0, 1.0, math.nan], [math.nan, -0.0, 2.0, math.nan], [0.0, -0.0, 1.0, 0.0],
+     [0.0, 1.0, 1.0, 0.0]]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=sweep_tables(), block=st.sampled_from([None, 7]))
+@example(table=_EDGE_TABLE, block=None)
+@example(table=_EDGE_TABLE, block=1)
+def test_one_pass_writer_matches_write_sweep_csv_on_each_table(tmp_path_factory, table, block):
+    d = tmp_path_factory.mktemp("sweep")
+    tables = [table.power_map(), table, mirror_symmetry(table.power_map()), mirror_symmetry(table)]
+    for i, t in enumerate(tables):
+        write_sweep_csv(d / f"oracle{i}.csv", t)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(campaign, "_CSV_BLOCK_ROWS", block)
+        rows = write_sweep_csvs([d / f"{i}.csv" for i in range(4)], table)
+    assert rows == [len(t) for t in tables]
+    for i in range(4):
+        assert (d / f"{i}.csv").read_bytes() == (d / f"oracle{i}.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    column=st.integers(0, 8),
+    field=st.sampled_from(["", "-0.000", "nan", "1"]) | st.floats(0.0, 1e3).map("{:.4f}".format),
+    n=st.integers(1, 20),
+)
+@example(column=1, field="-0.000", n=3)
+@example(column=8, field="", n=3)
+@example(column=6, field="nan", n=2)
+def test_csv_column_of_one_repeated_field_reads_each_cell(tmp_path_factory, column, field, n):
+    if field in ("", "nan"):
+        column = 5 + column % 4  # only the capacity stage's fields may be unknown
+    elif field not in ("1", "-0.000"):
+        column %= 8  # sync_ok holds 0 or 1 only
+    fields = ["10.000", "2.000", "0.100", "-60.0000", "-50.0000", "1.000000e-02", "20.0000", "1.000", "1"]
+    fields[column] = field
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text("\n".join([",".join(SWEEP_CSV_COLUMNS)] + [",".join(fields)] * n) + "\n")
+    got = read_sweep_csv(path).columns()[column + (column >= 4)]  # the raw interference column is not stored
+    want = np.array([float(field or "nan") for _ in range(n)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_csv_read_names_a_repeated_field_that_is_not_a_number(tmp_path, capacity_dir01_analytic):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, capacity_dir01_analytic.take(np.arange(3)))
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + ",yes" for row in rows)]) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: row 2 has sync_ok 'yes', which is not a number$"):
+        read_sweep_csv(path)
 
 
 def test_waveform_csv_round_trip_keeps_empty_fields(tmp_path, scenarios):

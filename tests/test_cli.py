@@ -490,6 +490,24 @@ def test_config_non_finite_antenna_value_is_data_error(tmp_path, capsys, preset,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "preset,line,field",
+    [
+        ("directional-0.1", "antenna.gain_dbi = 1e300", "boresight_gain_dbi"),
+        ("dipole-0.1", "antenna.front_to_back_db = -1000.001", "front_to_back_db"),
+    ],
+)
+def test_config_antenna_level_beyond_the_bound_is_data_error(tmp_path, capsys, preset, line, field):
+    # before, a 1e300 dBi gain swept with exit 0 and wrote -inf SINR fields that uavfd place rejects
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = {preset}\nout = {tmp_path}\n{line}\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"bad.cfg: invalid scenario override: {field} must be within ±1000 dB, got {float(line.split()[-1])}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # numpy warns of the overflow on its way to the NaN gain
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("engine", ["analytic", "waveform"])
@@ -506,6 +524,17 @@ def test_sweep_with_a_non_finite_link_gain_is_data_error(tmp_path, capsys, engin
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_sweep_leaves_no_output_directory(tmp_path, capsys):
+    # before, the directory was made before the sweep, and this run left it behind empty
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("scenario = directional-0.1\nscenario.interferer_height_m = 1e300\ngrid.y_end = 2\n")
+    code, _, err = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "new" / "dir")], capsys)
+    assert code == 2
+    assert "cannot sweep this grid" in err
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -516,6 +545,8 @@ def test_sweep_with_a_non_finite_link_gain_is_data_error(tmp_path, capsys, engin
         "scenario.tdd_snr_db = -inf",
         "scenario.sinr_ceiling_db = inf",
         "scenario.pointing_sigma_deg = -1",
+        "scenario.noise_figure_db = 1e308",
+        "scenario.p_u_dbm = -1000.001",
     ],
 )
 def test_config_bad_scenario_value_is_data_error(tmp_path, capsys, line):
