@@ -123,9 +123,17 @@ class GridSpec:
         return [self.y_start_m + i * self.y_step_m for i in range(n)]
 
 
+# beyond these a 1e-300 Hz carrier gives a -inf SINR, and a 1e308 Hz bandwidth an inf TDD capacity
+_SCENARIO_RANGES = {"bandwidth_hz": (1e3, 10e9), "carrier_freq_hz": (1e6, 300e9), "pointing_sigma_deg": (0.0, 180.0)}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One measurement scene: antenna type, interferer height, power settings."""
+    """One measurement scene: antenna type, interferer height, power settings.
+
+    The dB levels lie within ±MAX_LEVEL_DB, and _SCENARIO_RANGES holds the rest, ends included: a
+    bandwidth of 1 kHz–10 GHz, a carrier of 1 MHz–300 GHz and a pointing sigma of 0–180°.
+    """
 
     name: str
     antenna: AntennaSpec
@@ -144,11 +152,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         require_finite(self, ("p_g_dbm", "p_u_dbm", "floor_dbm", "noise_figure_db", "tdd_snr_db", "sinr_ceiling_db"))
-        for field_name in ("bandwidth_hz", "carrier_freq_hz"):
-            if getattr(self, field_name) <= 0.0:
-                raise ValueError(f"{field_name} must be > 0")
-        if self.pointing_sigma_deg < 0.0:
-            raise ValueError("pointing_sigma_deg must be >= 0")
+        for field_name, (lo, hi) in _SCENARIO_RANGES.items():
+            if not lo <= (v := getattr(self, field_name)) <= hi:
+                raise ValueError(f"{field_name} must be within [{lo:g}, {hi:g}], got {v}")
         if self.mode not in ("FD", "TDD"):
             raise ValueError(f"mode must be FD or TDD, got {self.mode!r}")
         if self.engine not in ("analytic", "waveform"):

@@ -8,6 +8,7 @@ byte-identical files.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -100,15 +101,15 @@ def _overrides(path: Path, entries: dict[str, tuple[str, int]], keys: dict) -> d
 
 
 def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str | None) -> RunConfig:
-    """Build a RunConfig from a config file plus the --scenario flag.
+    """Build a RunConfig from a config file, or from none (a path of None), plus the --scenario flag.
 
     The flag wins over the file's `scenario` key; everything else in the
     file overrides the chosen preset.  `antenna.*` values replace fields of
     the preset's antenna, or of a stock horn()/dipole() when `antenna.kind`
-    is given.
+    is given.  With no file the run is the preset on GridSpec(), seed 0, out `.`.
     """
-    path = Path(path)
-    entries = _parse_config_lines(path)
+    path = Path(path) if path else None
+    entries = _parse_config_lines(path) if path else {}
 
     known = _OTHER_KEYS | _SCENARIO_KEYS.keys() | _GRID_KEYS.keys() | _ANTENNA_KEYS.keys()
     for key, (_, lineno) in entries.items():
@@ -116,9 +117,13 @@ def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str
             raise DataError(f"{path}:{lineno}: unknown key {key!r}")
 
     name = scenario_flag or (entries["scenario"][0] if "scenario" in entries else None)
+    if name is None and not path:
+        raise UsageError("sweep needs --scenario (or --config with a scenario key)")
     if name is None:
         raise DataError(f"{path}: no scenario given (set 'scenario = <name>' or pass --scenario)")
-    scenario = _resolve_scenario(name, presets)
+    if name not in presets:
+        raise UsageError(f"unknown scenario {name!r}; available: {', '.join(sorted(presets))}")
+    scenario = presets[name]
 
     scen_kw = _overrides(path, entries, _SCENARIO_KEYS)
     ant_kw = _overrides(path, entries, _ANTENNA_KEYS)
@@ -149,42 +154,30 @@ def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str
     return RunConfig(scenario=scenario, grid=grid, seed=seed, out_dir=out_dir)
 
 
-def _resolve_scenario(name: str, presets: dict[str, ScenarioConfig]) -> ScenarioConfig:
-    if name not in presets:
-        raise UsageError(f"unknown scenario {name!r}; available: {', '.join(sorted(presets))}")
-    return presets[name]
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_sweep(args) -> int:
-    presets = builtin_scenarios()
-    if args.config:
-        run = load_run_config(args.config, presets, args.scenario)
-    else:
-        if not args.scenario:
-            raise UsageError("sweep needs --scenario (or --config with a scenario key)")
-        scenario = _resolve_scenario(args.scenario, presets)
-        run = RunConfig(scenario, GridSpec(), seed=0, out_dir=Path("."))
-
-    scenario = run.scenario
-    if args.engine:
-        scenario = replace(scenario, engine=args.engine)
-    seed = args.seed if args.seed is not None else run.seed
-    if seed < 0:
+    run = load_run_config(args.config, builtin_scenarios(), args.scenario)
+    run = replace(
+        run,
+        scenario=replace(run.scenario, engine=args.engine or run.scenario.engine),
+        seed=run.seed if args.seed is None else args.seed,
+        out_dir=Path(args.out or run.out_dir),
+    )
+    if run.seed < 0:  # a file's negative seed is a data error in load_run_config
         raise UsageError("--seed must be >= 0")
     try:
-        capacity = run_capacity_sweep(scenario, run.grid, seed)
+        capacity = run_capacity_sweep(run.scenario, run.grid, run.seed)
     except ValueError as e:
         raise DataError(f"cannot sweep this grid: {e}") from e
 
-    out_dir = Path(args.out) if args.out else run.out_dir
     try:  # only once the sweep has succeeded, so a failed one leaves no empty directory
-        out_dir.mkdir(parents=True, exist_ok=True)
+        run.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise DataError(f"cannot create output directory {out_dir}: {e}") from e
-    dests = [out_dir / f"{scenario.name}_{tag}{m}.csv" for m in ("", "_mirrored") for tag in ("power", "capacity")]
+        raise DataError(f"cannot create output directory {run.out_dir}: {e}") from e
+    name = run.scenario.name
+    dests = [run.out_dir / f"{name}_{tag}{m}.csv" for m in ("", "_mirrored") for tag in ("power", "capacity")]
     for dest, rows in zip(dests, write_sweep_csvs(dests, capacity)):
         print(f"wrote {dest} ({rows} rows)")
     return 0
@@ -263,13 +256,9 @@ def _cmd_place(args) -> int:
         table = read_sweep_csv(args.sweep_csv)
     except (OSError, ValueError) as e:
         raise DataError(str(e)) from e
-    kind = {k.value: k for k in ObjectiveKind}.get(args.objective)
-    if kind is None:
-        raise UsageError(f"unknown objective {args.objective!r}")
-    objective = PlacementObjective(kind)
-
+    kind = ObjectiveKind(args.objective)
     try:
-        best = best_record(table, objective)
+        best = best_record(table, PlacementObjective(kind))
     except ValueError as e:  # max-capacity over a row without capacity, e.g. a power sweep CSV
         raise DataError(f"{args.sweep_csv}: {e}") from e
     region = feasible_region(table, args.threshold)
@@ -314,6 +303,7 @@ def _threshold(text: str) -> float:
     return value
 
 
+@functools.cache  # parse_args keeps no state, so repeated in-process calls to main share one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uavfd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("place", help="feasible region and best interferer position from a sweep CSV")
     p.add_argument("sweep_csv")
-    p.add_argument("--objective", default=ObjectiveKind.MIN_INTERFERENCE.value, help="min-interference | max-capacity")
+    p.add_argument("--objective", choices=[k.value for k in ObjectiveKind], default="min-interference")
     p.add_argument("--threshold", type=_threshold, default=-95.0)
     p.add_argument("--out", help="region CSV path")
     p.set_defaults(func=_cmd_place)

@@ -136,11 +136,25 @@ def test_scenario_validation(scenarios):
         ("sinr_ceiling_db", math.inf),
         ("pointing_sigma_deg", -0.5),
         ("pointing_sigma_deg", math.nan),
+        ("bandwidth_hz", 999.0),
+        ("bandwidth_hz", 10.001e9),
+        ("carrier_freq_hz", 1e-300),
+        ("carrier_freq_hz", 0.999e6),
+        ("carrier_freq_hz", 300.001e9),
+        ("pointing_sigma_deg", 180.001),
     ],
 )
 def test_scenario_rejects_bad_numbers(scenarios, field, value):
     with pytest.raises(ValueError, match=field):
         replace(scenarios["directional-0.1"], **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,lo,hi", [("bandwidth_hz", 1e3, 10e9), ("carrier_freq_hz", 1e6, 300e9), ("pointing_sigma_deg", 0.0, 180.0)]
+)
+def test_scenario_ranges_include_their_ends(scenarios, field, lo, hi):
+    for value in (lo, hi):
+        assert getattr(replace(scenarios["directional-0.1"], **{field: value}), field) == value
 
 
 @pytest.mark.parametrize(
@@ -782,6 +796,19 @@ def test_csv_read_rejects_an_infinite_or_out_of_range_field(tmp_path, capacity_d
     path.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
     shown = "'abc', which is not a number" if value == "abc" else f"{float(value):g}, which must be"
     with pytest.raises(ValueError, match=f"^{path}: row 3 has {SWEEP_CSV_COLUMNS[column]} {shown}"):
+        read_sweep_csv(path)
+
+
+def test_csv_read_names_the_first_row_with_a_wrong_field_count(tmp_path, capacity_dir01_analytic):
+    # one extra field, then one missing: the file's comma count is that of a good file, so only a per-row
+    # check finds the bad rows
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, capacity_dir01_analytic)
+    good = path.read_text()
+    header, first, second, third, *rest = good.splitlines()
+    path.write_text("\n".join([header, first, second + ",0", third.rsplit(",", 1)[0], *rest]) + "\n")
+    assert path.read_text().count(",") == good.count(",")
+    with pytest.raises(ValueError, match=f"^{path}: row 3 has 10 fields$"):
         read_sweep_csv(path)
 
 

@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavfd.antenna import dipole, horn
-from uavfd.campaign import builtin_scenarios
-from uavfd.cli import load_run_config, main
+from uavfd.campaign import _SCENARIO_RANGES, GridSpec, builtin_scenarios, read_sweep_csv, write_sweep_csv
+from uavfd.cli import RunConfig, UsageError, build_parser, load_run_config, main
+from uavfd.geometry import MAX_LEVEL_DB
 
 
 def run(args, capsys):
@@ -396,6 +399,102 @@ def test_place_unknown_objective(tmp_path, capsys):
     assert code == 1
 
 
+def test_place_checks_the_objective_before_reading_the_csv(tmp_path, capsys):
+    code, out, err = run(["place", str(tmp_path / "missing.csv"), "--objective", "wat"], capsys)
+    assert code == 1
+    assert out == ""
+    # newer Pythons drop the quotes around the choices
+    assert err.startswith("error: argument --objective: invalid choice: 'wat' (choose from ")
+    assert "min-interference" in err and "max-capacity" in err
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    run(["sweep", "--scenario", "directional-0.1", "--out", str(tmp_path)], capsys)
+    csv_path = str(tmp_path / "directional-0.1_capacity.csv")
+    assert "best objective=max-capacity " in run(["place", csv_path, "--objective", "max-capacity"], capsys)[1]
+    assert "best objective=min-interference " in run(["place", csv_path], capsys)[1]
+
+
+def test_load_run_config_without_a_file_is_the_preset_on_the_default_grid():
+    presets = builtin_scenarios()
+    want = RunConfig(presets["directional-0.1"], GridSpec(), 0, Path("."))
+    assert load_run_config(None, presets, "directional-0.1") == want
+    with pytest.raises(UsageError, match=r"^sweep needs --scenario \(or --config with a scenario key\)$"):
+        load_run_config(None, presets, None)
+
+
+def test_config_without_a_scenario_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("seed = 3\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert f"{cfg}: no scenario given (set 'scenario = <name>' or pass --scenario)" in err
+
+
+def _sweep_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+
+def test_flags_a_config_file_and_flags_over_a_file_give_the_same_run(tmp_path, capsys):
+    by_flags = ["sweep", "--scenario", "directional-0.1", "--engine", "analytic", "--seed", "3"]
+    assert run([*by_flags, "--out", str(tmp_path / "a")], capsys)[0] == 0
+    by_file = tmp_path / "b.cfg"
+    by_file.write_text(f"scenario = directional-0.1\nseed = 3\nout = {tmp_path / 'b'}\nscenario.engine = analytic\n")
+    assert run(["sweep", "--config", str(by_file)], capsys)[0] == 0
+    # every key the flags override would move the bytes or the directory if it were kept
+    overridden = tmp_path / "c.cfg"
+    overridden.write_text(
+        f"scenario = directional-0.1\nseed = 9\nout = {tmp_path / 'kept'}\nscenario.engine = waveform\n"
+    )
+    flags = ["--seed", "3", "--out", str(tmp_path / "c"), "--engine", "analytic"]
+    assert run(["sweep", "--config", str(overridden), *flags], capsys)[0] == 0
+    a = _sweep_bytes(tmp_path / "a")
+    assert len(a) == 4
+    assert _sweep_bytes(tmp_path / "b") == a == _sweep_bytes(tmp_path / "c")
+    assert not (tmp_path / "kept").exists()
+
+
+def test_seed_flag_overrides_the_config_files_seed(tmp_path, capsys):
+    # at a pointing sigma above 0 the seed draws each point's aim, so it shows in the bytes
+    for name, text, flags in [("a", "seed = 3", []), ("b", "seed = 9", ["--seed", "3"]), ("c", "seed = 9", [])]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"scenario = directional-0.1\nscenario.pointing_sigma_deg = 2\n{text}\ngrid.y_end = 4\n")
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / name), *flags], capsys)[0] == 0
+    assert _sweep_bytes(tmp_path / "a") == _sweep_bytes(tmp_path / "b") != _sweep_bytes(tmp_path / "c")
+
+
+_LEVELS = ("p_g_dbm", "p_u_dbm", "floor_dbm", "noise_figure_db", "tdd_snr_db", "sinr_ceiling_db")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(builtin_scenarios())),
+    levels=st.fixed_dictionaries({f: st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB) for f in _LEVELS}),
+    ranges=st.fixed_dictionaries({f: st.floats(lo, hi) for f, (lo, hi) in _SCENARIO_RANGES.items()}),
+    mode=st.sampled_from(["FD", "TDD"]),
+    x_start=st.integers(1, 66),
+    y_start=st.integers(0, 26),
+    seed=st.integers(0, 2**32),
+)
+def test_a_sweep_of_validated_values_writes_csvs_that_read_back_and_rewrite_byte_identical(
+    tmp_path_factory, preset, levels, ranges, mode, x_start, y_start, seed
+):
+    out = tmp_path_factory.mktemp("sweep")
+    keys = {"scenario": preset, "seed": seed, "out": out, "scenario.mode": mode}
+    keys |= {f"scenario.{f}": repr(v) for f, v in (levels | ranges).items()}
+    keys |= {"grid.x_start": x_start, "grid.x_end": x_start + 4, "grid.y_start": y_start, "grid.y_end": y_start + 4}
+    cfg = out / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    written = sorted(out.glob("*.csv"))
+    assert len(written) == 4
+    for path in written:
+        again = out / "again.csv"
+        write_sweep_csv(again, read_sweep_csv(path))
+        assert again.read_bytes() == path.read_bytes(), path.name
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -547,6 +646,11 @@ def test_failed_sweep_leaves_no_output_directory(tmp_path, capsys):
         "scenario.pointing_sigma_deg = -1",
         "scenario.noise_figure_db = 1e308",
         "scenario.p_u_dbm = -1000.001",
+        "scenario.carrier_freq_hz = 1e-300",
+        "scenario.carrier_freq_hz = 300.001e9",
+        "scenario.bandwidth_hz = 1e308",
+        "scenario.bandwidth_hz = 999",
+        "scenario.pointing_sigma_deg = 180.001",
     ],
 )
 def test_config_bad_scenario_value_is_data_error(tmp_path, capsys, line):

@@ -46,9 +46,7 @@ def reference():
 
 
 def test_reference_covers_every_case(reference):
-    # the fixture also records a `heights_m` key, a GridSpec field that no sweep read
-    recorded = {n: {k: v for k, v in g.items() if k != "heights_m"} for n, g in reference["grids"].items()}
-    assert recorded == {n: asdict(g) for n, g in GRIDS.items()}
+    assert reference["grids"] == {n: asdict(g) for n, g in GRIDS.items()}
     assert sorted(reference["runs"]) == sorted(f"{s}/{seed}/{g}" for s, seed, g in _cases())
     # the sync-edge grid must hold both outcomes, or it checks only one branch
     edge = [p["sync_ok"] for p in reference["runs"]["directional-0.1/0/sync-edge"]]
