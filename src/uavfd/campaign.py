@@ -71,7 +71,7 @@ RX2_POSITION = Position(60.0, 0.0, 0.1)
 NEAR_FIELD_DISTANCE_M = 1.0
 
 FRAME_SYMBOLS = 28  # OFDM data symbols per frame of the waveform capacity sweep
-GATE_CHUNK_ROWS = 8  # interfered heads per batched sync-gate call of the waveform sweep
+GATE_CHUNK_ROWS = 16  # interfered heads per batched sync-gate call of the waveform sweep
 
 _FINITE = ("finite", np.isfinite)
 _NON_NEGATIVE = ("finite and >= 0", lambda c: np.isfinite(c) & (c >= 0.0))

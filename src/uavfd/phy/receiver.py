@@ -3,10 +3,12 @@
 Synchronization computes the classic half-lag autocorrelation timing
 metric: the preamble's two identical halves make |P(d)|/R(d) peak at the
 preamble start, where P correlates each sample with its half-frame
-successor and R is the trailing-half energy.  The link is declared down
-when the peak stays under the threshold, which is exactly what happens
-when co-channel interference swamps the preamble.  A matched-filter pass
-against the known preamble then refines the coarse peak to the sample.
+successor and R is the trailing-half energy: a running sum from sample
+`half` (fft_size / 2), since no window's trailing half reads the samples
+before it.  The link is declared down when the peak stays under the
+threshold, which is exactly what happens when co-channel interference
+swamps the preamble.  A matched-filter pass against the known preamble
+then refines the coarse peak to the sample.
 
 The coarse search covers only the starts from which the frame fits: up to
 `slack + window`, the buffer's length beyond one frame plus the refinement
@@ -81,9 +83,9 @@ def _timing_metric(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-lag correlation p[d] and timing metric |p[d]|/r[d] at every start d <= n - 2*half of x's last axis.
 
     An (R, n) x gives the 1-D results of its R rows.  Both come from running
-    sums, and a running sum over a prefix of x is bit for bit the prefix of
-    the one over all of x, so the metric of a head of the buffer equals the
-    whole buffer's metric at those starts.
+    sums from a fixed sample (0 for p, half for r), and a running sum over a
+    prefix of x is bit for bit the prefix of the one over all of x, so the
+    metric of a head of the buffer equals the whole buffer's at its starts.
     """
     n = x.shape[-1]
     cs = np.empty((*x.shape[:-1], n - half + 1), dtype=np.complex128)  # cs[..., k] sums the first k terms
@@ -93,10 +95,10 @@ def _timing_metric(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(prod, axis=-1, out=cs[..., 1:])
     p = cs[..., half:] - cs[..., :-half]  # p[d] = sum over m<half of conj(x[d+m]) x[d+m+half]
 
-    es = np.empty((*x.shape[:-1], n + 1))
+    es = np.empty((*x.shape[:-1], n - half + 1))  # es[..., k] sums |x[half + m]|^2 over m < k
     es[..., 0] = 0.0
-    np.cumsum(np.abs(x) ** 2, axis=-1, out=es[..., 1:])
-    r = es[..., 2 * half :] - es[..., half:-half]  # trailing-half energy
+    np.cumsum(np.abs(x[..., half:]) ** 2, axis=-1, out=es[..., 1:])
+    r = es[..., half:] - es[..., :-half]  # r[d] = energy of the trailing half x[d+half : d+2*half]
 
     metric = np.abs(p)
     metric /= np.maximum(r, _ENERGY_EPS, out=r)

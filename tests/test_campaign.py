@@ -673,7 +673,7 @@ _CHUNK_REFERENCE = {}
 @given(
     name=st.sampled_from(["dipole-0.1", "directional-0.1", "directional-1.8"]),
     seed=st.sampled_from([0, 5, 11]),
-    chunk=st.sampled_from([1, 7, 16, None]),
+    chunk=st.sampled_from([1, 7, 8, 16, None]),
 )
 def test_gate_chunk_size_changes_no_table_bit(scenarios, name, seed, chunk):
     scenario = replace(scenarios[name], engine="waveform")

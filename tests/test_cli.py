@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavfd.antenna import dipole, horn
@@ -465,25 +465,43 @@ def test_seed_flag_overrides_the_config_files_seed(tmp_path, capsys):
 
 
 _LEVELS = ("p_g_dbm", "p_u_dbm", "floor_dbm", "noise_figure_db", "tdd_snr_db", "sinr_ceiling_db")
+_VALIDATED = {
+    "preset": st.sampled_from(sorted(builtin_scenarios())),
+    "levels": st.fixed_dictionaries({f: st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB) for f in _LEVELS}),
+    "ranges": st.fixed_dictionaries({f: st.floats(lo, hi) for f, (lo, hi) in _SCENARIO_RANGES.items()}),
+    "x_start": st.integers(1, 66),
+    "y_start": st.integers(0, 26),
+    "seed": st.integers(0, 2**32),
+}
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    preset=st.sampled_from(sorted(builtin_scenarios())),
-    levels=st.fixed_dictionaries({f: st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB) for f in _LEVELS}),
-    ranges=st.fixed_dictionaries({f: st.floats(lo, hi) for f, (lo, hi) in _SCENARIO_RANGES.items()}),
-    mode=st.sampled_from(["FD", "TDD"]),
-    x_start=st.integers(1, 66),
-    y_start=st.integers(0, 26),
-    seed=st.integers(0, 2**32),
-)
+@given(mode=st.sampled_from(["FD", "TDD"]), **_VALIDATED)
 def test_a_sweep_of_validated_values_writes_csvs_that_read_back_and_rewrite_byte_identical(
     tmp_path_factory, preset, levels, ranges, mode, x_start, y_start, seed
 ):
+    grid = {"grid.x_start": x_start, "grid.x_end": x_start + 4, "grid.y_start": y_start, "grid.y_end": y_start + 4}
+    _sweep_reads_back_byte_identical(tmp_path_factory, preset, levels | ranges, {"scenario.mode": mode, **grid}, seed)
+
+
+# the waveform engine runs only in FD mode, and 8 examples keep it fast; most draws of the levels lose sync
+# at every point, so the explicit example, the preset's own levels at two points, writes measured EVMs
+@settings(max_examples=7, deadline=None)
+@given(points=st.integers(1, 2), **_VALIDATED)
+@example(preset="directional-0.1", levels={}, ranges={}, points=2, x_start=10, y_start=0, seed=0)
+def test_a_waveform_sweep_of_validated_values_writes_csvs_that_read_back_and_rewrite_byte_identical(
+    tmp_path_factory, preset, levels, ranges, points, x_start, y_start, seed
+):
+    grid = {"grid.x_start": x_start, "grid.x_end": x_start + 2 * (points - 1), "grid.y_start": y_start}
+    keys = {"scenario.mode": "FD", "scenario.engine": "waveform", **grid, "grid.y_end": y_start}
+    _sweep_reads_back_byte_identical(tmp_path_factory, preset, levels | ranges, keys, seed)
+
+
+def _sweep_reads_back_byte_identical(tmp_path_factory, preset, fields, keys, seed):
+    """`uavfd sweep --config` writes four CSVs, and each reads back and re-writes to the same bytes."""
     out = tmp_path_factory.mktemp("sweep")
-    keys = {"scenario": preset, "seed": seed, "out": out, "scenario.mode": mode}
-    keys |= {f"scenario.{f}": repr(v) for f, v in (levels | ranges).items()}
-    keys |= {"grid.x_start": x_start, "grid.x_end": x_start + 4, "grid.y_start": y_start, "grid.y_end": y_start + 4}
+    keys = {"scenario": preset, "seed": seed, "out": out, **keys}
+    keys |= {f"scenario.{f}": repr(v) for f, v in fields.items()}
     cfg = out / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     assert main(["sweep", "--config", str(cfg)]) == 0

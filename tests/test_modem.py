@@ -668,6 +668,40 @@ def test_head_timing_metric_is_bit_identical_to_the_full_buffer_one(n_symbols, s
     assert np.array_equal(head_metric.view(np.int64), metric[: last + 1].view(np.int64))
 
 
+def _windowed_timing_metric(x, half):
+    """Oracle: p[d] and |p[d]|/r[d] from an explicit sum over each start's own window."""
+    p, r = [], []
+    for d in range(x.size - 2 * half + 1):
+        lead, trail = x[d : d + half], x[d + half : d + 2 * half]
+        p.append(np.vdot(lead, trail))
+        r.append(np.vdot(trail, trail).real)
+    p, r = np.array(p), np.array(r)
+    return p, np.abs(p) / np.maximum(r, receiver._ENERGY_EPS)
+
+
+@pytest.mark.parametrize("shape", [(1024,), (1088,), (1089,), (1500,), (3000,), (4, 1300)])
+def test_timing_metric_matches_the_windowed_sums(shape):
+    rng = np.random.default_rng(shape[-1])
+    x = np.reshape([_gate_buffer("padded", rng)[: shape[-1]] for _ in range(math.prod(shape[:-1]))], shape)
+    x += 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    half = P.fft_size // 2
+    p, metric = _timing_metric(x, half)
+    starts = shape[-1] - 2 * half + 1
+    assert p.shape == metric.shape == (*shape[:-1], starts)
+    for row, p_row, metric_row in zip(x.reshape(-1, shape[-1]), p.reshape(-1, starts), metric.reshape(-1, starts)):
+        want_p, want_metric = _windowed_timing_metric(row, half)
+        np.testing.assert_allclose(p_row, want_p, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(metric_row, want_metric, rtol=0, atol=1e-12)
+
+
+def test_timing_metric_of_an_all_zero_window_is_exactly_zero():
+    signal = _gate_buffer("exact", np.random.default_rng(7))[:1500]
+    x = np.r_[signal, np.zeros(1500, complex)]
+    metric = _timing_metric(x, P.fft_size // 2)[1]
+    assert metric[: signal.size].max() > 0.0
+    assert np.all(metric[signal.size :] == 0.0)
+
+
 # ----------------------------------------------------------------- receive
 
 
