@@ -450,9 +450,11 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         clean = np.flatnonzero(i_dbm == -math.inf)
         passes = [(clean, None)] if clean.size else []
         passes += [([i], j) for j, i in enumerate(interfered.tolist()) if metrics[j] >= SYNC_THRESHOLD]
+        buf = np.empty_like(desired)  # every passing point's buffer, reused so that a pass stays in cache
         for rows, j in passes:
-            received = desired if j is None else shifted[delays[j]] * gains[j] + desired
-            rx = receive_frame(received, params, frame.data_symbols, decode=False)
+            if j is not None:  # the bits of shifted[d] * gain + desired
+                np.add(np.multiply(shifted[delays[j]], gains[j], out=buf), desired, out=buf)
+            rx = receive_frame(desired if j is None else buf, params, frame.data_symbols, decode=False)
             table.sync_ok[rows] = rx.sync_success
             if rx.sync_success:
                 table.evm_rms[rows] = rx.evm_rms

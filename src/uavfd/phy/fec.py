@@ -23,14 +23,16 @@ on fixed views of preallocated buffers: an add of the path metrics, seen as
 (2, 32, 1, B), to the (2, 32, 2, B) branch metrics, and a maximum over the
 leading axis, which writes the new metrics in state order.  The row axis is
 innermost, so each call runs over contiguous runs of B values.  Per chunk
-of 64 steps the branch metrics are gathered and the decisions written to a
+of 32 steps the branch metrics are gathered and the decisions written to a
 bool table, state-major with the rows innermost.  The traceback (Forney's
 survivor memory) runs the rows in lockstep too: per chunk, one multiply and
 one add turn decisions into predecessor indices, and each step back is one
 `take` for all B rows, so a long 1-D block pays a call per step.  Working
 memory per row: 82 bytes per step (decisions 64, LLRs 16, state indices 2;
-+16 for a non-float64 input, +6 past 1,024 rows) and 72 KiB of chunk
-buffers (candidates 64, predecessor table 8, or 32 past 1,024 rows).
++16 for a non-float64 input, +6 past 1,024 rows) and 37 KiB of chunk
+buffers (candidates 32, branch metrics 1, predecessor table 4, or 16 past
+1,024 rows).  At 32 steps a 28-row frame's candidates take 0.9 MB, so a
+chunk's gather, steps and decisions stay in a 2 MiB L2 cache.
 """
 
 import numpy as np
@@ -94,7 +96,7 @@ _CODE_INDEX = _build_code_index()
 # branch-metric signs (1 - 2*o) of each coded bit, per code index 2*o0 + o1, as columns over the rows
 _SGN0 = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 _SGN1 = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-_CHUNK = 64  # trellis steps per branch-metric gather, decision write and traceback table
+_CHUNK = 32  # trellis steps per branch-metric gather, decision write and traceback table
 # a path metric's magnitude never exceeds the 1e18 start offset plus the sum
 # of all |LLR|; bounding that sum by half the float range leaves ample room
 # for rounding, so no metric can overflow to inf (and inf - inf to NaN)

@@ -131,7 +131,7 @@ def _subcarrier_maps(params: OfdmParams) -> _SubcarrierMaps:
     logical = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
     bins = np.where(logical < 0, logical + n, logical)
     pilot_pos = np.arange(0, params.active_subcarriers, params.pilot_spacing)
-    data_pos = np.setdiff1d(np.arange(params.active_subcarriers), pilot_pos)
+    data_pos = np.flatnonzero(np.arange(params.active_subcarriers) % params.pilot_spacing)
     maps = (bins, pilot_pos, data_pos, logical, bins[pilot_pos], bins[data_pos])
     return _SubcarrierMaps(*(_read_only(a) for a in maps))
 
@@ -194,10 +194,10 @@ def demap_16qam(symbols) -> np.ndarray:
     y = np.asarray(symbols, dtype=np.complex128).ravel() / _QAM_SCALE
     out = np.empty((y.size, BITS_PER_SYMBOL))
     for col, axis in ((0, y.real), (2, y.imag)):
-        d2 = (axis[:, None] - _QAM_LEVELS[None, :]) ** 2
-        # level order (-3, -1, +1, +3) <-> axis bit pairs (11, 10, 00, 01)
-        out[:, col] = np.minimum(d2[:, 0], d2[:, 1]) - np.minimum(d2[:, 2], d2[:, 3])
-        out[:, col + 1] = np.minimum(d2[:, 0], d2[:, 3]) - np.minimum(d2[:, 1], d2[:, 2])
+        # one contiguous array per level, in level order (-3, -1, +1, +3) <-> axis bit pairs (11, 10, 00, 01)
+        d0, d1, d2, d3 = ((axis - level) ** 2 for level in _QAM_LEVELS)
+        out[:, col] = np.minimum(d0, d1) - np.minimum(d2, d3)
+        out[:, col + 1] = np.minimum(d0, d3) - np.minimum(d1, d2)
     return out.ravel()
 
 
@@ -318,12 +318,14 @@ def delayed_interferer(interferer: np.ndarray, length: int) -> np.ndarray:
     """Every delay of the interferer, repeated or cut to length: row d, for d in [0, n], is i[(k - d) mod n].
 
     A read-only (n + 1, length) view of windows over the interferer
-    repeated to n + length samples, the last window first.  It is the one
-    definition of a delayed interferer; an empty interferer raises ValueError.
+    repeated to n + length samples (whole copies, then one partial copy),
+    the last window first.  It is the one definition of a delayed
+    interferer; an empty interferer raises ValueError.
     """
     if interferer.size == 0:
         raise ValueError("interferer is empty: it has no sample to delay")
-    return sliding_window_view(np.resize(interferer, interferer.size + length), length)[::-1]
+    copies, part = divmod(interferer.size + length, interferer.size)
+    return sliding_window_view(np.concatenate((interferer,) * copies + (interferer[:part],)), length)[::-1]
 
 
 def impair(

@@ -42,7 +42,7 @@ from .fec import fec_decode
 from .modem import OfdmParams, _as_samples, _pilot_matrix, _preamble, _subcarrier_maps, demap_16qam
 
 SYNC_THRESHOLD = 0.5
-_ENERGY_EPS = 1e-30
+_ENERGY_EPS = np.finfo(np.float64).tiny  # the smallest normal float: the metric is scale-free down to it
 
 
 @dataclass(frozen=True)
@@ -200,13 +200,14 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
     cp = params.cp_length
     windows = x[sync.frame_start : needed].reshape(n_symbols, params.symbol_samples)[:, cp:]
     starts = sync.frame_start + cp + params.symbol_samples * np.arange(n_symbols)
-    spectrum = np.fft.fft(_derotate(windows, sync.cfo_subcarriers, starts, params.fft_size), axis=1)
+    spectrum = _derotate(windows, sync.cfo_subcarriers, starts, params.fft_size)
+    np.fft.fft(spectrum, axis=1, out=spectrum)  # in place: _derotate's array is never the caller's samples
 
     maps = _subcarrier_maps(params)
     pilot_pos, data_pos = maps.pilot_pos, maps.data_pos
     pilots = _pilot_matrix(params, n_symbols, 0)
-    rx_pilots = spectrum[:, maps.pilot_bins]
-    rx_data = spectrum[:, maps.data_bins]
+    rx_pilots = spectrum.take(maps.pilot_bins, axis=1)
+    rx_data = spectrum.take(maps.data_bins, axis=1)
 
     # static channel: average the per-pilot LS estimates over the frame,
     # aligning each symbol's common phase first so any residual rotation
@@ -218,9 +219,11 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
 
     # per-symbol common phase from the pilots, then one-tap equalization
     cpe = np.angle(np.sum(rx_pilots * np.conj(h_pilot[None, :] * pilots), axis=1))
-    y_eq = rx_data / h_data[None, :] * np.exp(-1j * cpe)[:, None]
+    y_eq = np.divide(rx_data, h_data, out=rx_data)
+    y_eq *= np.exp(-1j * cpe)[:, None]
 
-    evm = float(np.sqrt(np.mean(np.abs(y_eq - ref) ** 2)))
+    err = np.abs(y_eq - ref)
+    evm = float(np.sqrt(np.mean(np.square(err, out=err))))
 
     payload = None
     if decode:

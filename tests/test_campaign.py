@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -536,6 +537,41 @@ def test_waveform_sweep_matches_analytic_at_every_eligible_point(waveform_defaul
     assert np.abs(waveform.sinr_db - analytic.sinr_db)[eligible].max() <= 1.0
     # and a point that fails sync has no analytic SINR to lose
     assert (analytic.sinr_db[waveform.sync_ok == 0.0] < 0.0).all()
+
+
+# SHA-256 of the float64 bytes of evm_rms, sinr_db and capacity_bps, in that order, of a waveform sweep on
+# the default grid: the CSV's rounding hides a change in the last bit, these do not (numpy 2.4, x86-64)
+WAVEFORM_FLOAT_SHA256 = {
+    ("directional-0.1", 0): "849b6e66721bcc99a67115bbec337281809e3e2d28120a980c3de12d76b65e5e",
+    ("directional-0.1", 11): "9cceee549ad39b492ba75b2ef924ed2ed15f2d3bc60fde8fd6f37abf49897b87",
+    ("directional-1.8", 0): "67889b5712df11860314082c68f1af1b588f1313e08cf011c6dd7d24ce977c3e",
+    ("directional-1.8", 11): "95439aaceee0492aef34d69c5c22b9e6101b11d8fc312c364ad1d34708905204",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(WAVEFORM_FLOAT_SHA256))
+def test_waveform_sweep_float_bytes_are_pinned(waveform_default_grid, scenarios, grid, name, seed):
+    if name == "directional-0.1":
+        table = waveform_default_grid[seed][1]
+    else:
+        table = run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed)
+    digest = hashlib.sha256()
+    for column in (table.evm_rms, table.sinr_db, table.capacity_bps):
+        digest.update(column.astype("<f8").tobytes())
+    assert digest.hexdigest() == WAVEFORM_FLOAT_SHA256[name, seed]
+
+
+def test_a_desired_level_far_below_any_preset_syncs_in_both_engines(scenarios):
+    # -341 dBm of desired signal over a -504 dBm noise floor: the waveform receiver's energy floor
+    # is scale-free, so it locks and meets the analytic engine at the SINR ceiling
+    levels = {"p_g_dbm": -300.0, "p_u_dbm": -1000.0, "floor_dbm": -450.0, "noise_figure_db": -400.0}
+    sc = replace(scenarios["directional-0.1"], **levels)
+    one_point = GridSpec(x_start_m=10, x_end_m=10, y_end_m=0)
+    analytic = run_capacity_sweep(sc, one_point)
+    waveform = run_capacity_sweep(replace(sc, engine="waveform"), one_point)
+    assert analytic.sync_ok.tolist() == waveform.sync_ok.tolist() == [1.0]
+    assert waveform.sinr_db.tolist() == analytic.sinr_db.tolist() == [sc.sinr_ceiling_db]
+    assert waveform.capacity_bps.tolist() == analytic.capacity_bps.tolist()
 
 
 def test_receiver_noise_is_drawn_once_per_sweep(scenarios):

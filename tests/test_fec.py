@@ -185,8 +185,9 @@ def test_zero_blocks_decode_to_an_empty_payload():
 
 def test_frame_decode_working_memory():
     # the fec module docstring's figures for a float64 input of at most 1,024 rows: 82 bytes per
-    # step and row (decisions 64, row-innermost LLRs 16, state indices 2) and 72 KiB of chunk
-    # buffers per row; 5% covers the short-lived arrays (branch metrics, output stage, views)
+    # step and row (decisions 64, row-innermost LLRs 16, state indices 2) and 37 KiB of chunk
+    # buffers per row (candidates 32, branch metrics 1, predecessor table 4); 5% covers the
+    # short-lived arrays (output stage, views)
     x = _channel_rows(28, 1044, "soft")
     n_rows, n_steps = x.shape[0], x.shape[1] // 2
     fec_decode(x)  # first-call allocations are not working memory
@@ -196,7 +197,7 @@ def test_frame_decode_working_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = n_rows * (82 * n_steps + 72 * 1024)
+    bound = n_rows * (82 * n_steps + 37 * 1024)
     assert 0.9 * bound < peak <= 1.05 * bound
 
 

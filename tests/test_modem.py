@@ -78,6 +78,30 @@ def test_qam_soft_signs_match_hard():
     assert np.array_equal((soft < 0).astype(np.uint8), bits)
 
 
+def _demap_by_distance_matrix(symbols):
+    """The LLRs from an (N, 4) matrix of squared distances to the levels of each axis, columns sliced."""
+    y = np.asarray(symbols, dtype=np.complex128).ravel() / _QAM_SCALE
+    out = np.empty((y.size, BITS_PER_SYMBOL))
+    for col, axis in ((0, y.real), (2, y.imag)):
+        d2 = (axis[:, None] - np.array([-3.0, -1.0, 1.0, 3.0])[None, :]) ** 2
+        out[:, col] = np.minimum(d2[:, 0], d2[:, 1]) - np.minimum(d2[:, 2], d2[:, 3])
+        out[:, col + 1] = np.minimum(d2[:, 0], d2[:, 3]) - np.minimum(d2[:, 1], d2[:, 2])
+    return out.ravel()
+
+
+def test_demap_is_bit_for_bit_the_distance_matrix_formula():
+    # an axis value at 0, ±2 or ±4 (in level units) is equally far from two levels: a tie of some LLR;
+    # the ties, their float neighbours and the levels go in on both axes, then 14,700 noisy symbols
+    ties = np.array([0.0, -0.0, 2.0, -2.0, 4.0, -4.0])
+    values = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), [-3.0, -1.0, 1.0, 3.0]])
+    grid = (values[:, None] + 1j * values[None, :]).ravel() * _QAM_SCALE
+    assert np.isin(ties, (grid / _QAM_SCALE).real).all()  # every tie reaches the demapper exact
+    rng = np.random.default_rng(28)
+    noisy = map_16qam(rng.integers(0, 2, 4 * 14_700)) + 0.3 * ([1, 1j] @ rng.standard_normal((2, 14_700)))
+    for symbols in (grid, noisy):
+        assert demap_16qam(symbols).tobytes() == _demap_by_distance_matrix(symbols).tobytes()
+
+
 def test_qam_requires_bit_multiple():
     with pytest.raises(ValueError):
         map_16qam([0, 1, 0])
@@ -201,6 +225,17 @@ def test_cached_arrays_are_read_only():
             a[0] = 0
 
 
+@pytest.mark.parametrize(
+    "params",
+    [P, OfdmParams(fft_size=128, cp_length=16, active_subcarriers=72, pilot_spacing=6), OfdmParams(64, 8, 48, 2)],
+)
+def test_data_positions_are_the_active_subcarriers_without_the_pilots(params):
+    maps = _subcarrier_maps(params)
+    want = np.setdiff1d(np.arange(params.active_subcarriers), maps.pilot_pos)
+    assert maps.data_pos.dtype == want.dtype and np.array_equal(maps.data_pos, want)
+    assert maps.data_pos.size == params.n_data_subcarriers
+
+
 def per_symbol_reference_frame(params, fb, pilot_stream):
     """Loop-per-symbol transmitter, independent of the vectorised build_frame."""
     half = params.active_subcarriers // 2
@@ -302,7 +337,7 @@ def test_interferer_delay_is_the_delay_impair_applies(n):
     # a ramp interferer on a zero desired signal shorter than, as long as and longer than it:
     # output sample k is i[(k - delay) mod n], and so is sample k of row `delay` of the delay table
     ramp = np.arange(n, dtype=np.complex128)
-    for length in [1, n - 1, n, 2 * n + 3]:
+    for length in [0, 1, n - 1, n, 2 * n + 3]:
         want = lambda d: ramp[(np.arange(length) - d) % n]
         table = delayed_interferer(ramp, length)
         assert table.shape == (n + 1, length) and not table.flags.writeable
@@ -723,6 +758,16 @@ def test_receive_clean_frame_after_leading_zeros(lead):
     assert rx.evm_rms < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-17, 1e-100])
+def test_a_scaled_frame_syncs_with_the_unscaled_metric(scale):
+    # the timing metric is a ratio of sample products, so a frame at any level locks as it does at 0 dBm
+    fb = rand_frame(P, 3, seed=24)
+    unscaled = receive_frame(fb.samples, P, fb.data_symbols, decode=False)
+    rx = receive_frame(fb.samples * scale, P, fb.data_symbols, decode=False)
+    assert rx.sync_success and rx.sync_metric == pytest.approx(unscaled.sync_metric, rel=1e-12)
+    assert rx.evm_rms < 1e-12
+
+
 def test_receive_reports_sync_failure():
     rng = np.random.default_rng(17)
     noise = (rng.standard_normal(8000) + 1j * rng.standard_normal(8000)) / math.sqrt(2)
@@ -777,6 +822,31 @@ def test_28_symbol_frame_decodes_exactly_at_30_db():
     assert np.array_equal(rx.payload, fb.payload)
 
 
+def _run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's uavfd; return its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return proc.stdout
+
+
+def test_the_first_frame_leaves_numpy_ma_unimported():
+    # a CLI run pays every import before its first point; numpy.ma alone takes about 5 ms
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import uavfd.cli\n"
+        "from uavfd import phy\n"
+        "p = phy.OfdmParams()\n"
+        "f = phy.build_frame(p, np.zeros(p.payload_bits(28), dtype=np.uint8))\n"
+        "assert phy.receive_frame(f.samples, p, f.data_symbols, decode=False).sync_success\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _run_fresh(code).split() == ["False"]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the heap policy is set through glibc's mallopt")
 def test_decoded_frames_reuse_the_heap():
     # a fresh process that builds and decodes frames without the campaign rig: building a frame
@@ -797,12 +867,7 @@ def test_decoded_frames_reuse_the_heap():
         "for _ in range(4): one()\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    assert int(proc.stdout.split()[-1]) < 4 * 25
+    assert int(_run_fresh(code).split()[-1]) < 4 * 25
 
 
 @pytest.mark.parametrize("k", [0, 13, 27])
