@@ -21,10 +21,13 @@ interfered points' heads (1,088 samples each) as the rows of one array per
 chunk and forms a point's full buffer only when its head passes.
 
 Frequency-offset de-rotation is applied only where it is used: to the
-matched-filter window in `synchronize` (one row) and to the FFT windows
-(CP removed, one row per symbol) in `receive_frame`.  The phasor of such
-a window is a row phasor times a column phasor of absolute sample indices,
-so each corrected sample equals what de-rotating the whole buffer would give.
+matched-filter window in `synchronize` and to the FFT windows (CP
+removed, one row per symbol) in `receive_frame`.  Each window is
+de-rotated from its own first sample, which differs from de-rotating the
+whole buffer by one constant phase per window.  The matched filter's
+magnitude ignores that phase, and the per-symbol common-phase correction
+from the pilots removes it along with any residual offset (Speth et al.,
+IEEE Trans. Commun. 47(11), 1999).
 
 The channel in this rig is a static complex scalar (attenuators and a
 combiner), so pilot least-squares estimates are averaged across the
@@ -62,16 +65,16 @@ class RxResult:
     payload: np.ndarray | None = None
 
 
-def _derotate(rows: np.ndarray, cfo_subcarriers: float, row_starts: np.ndarray, fft_size: int) -> np.ndarray:
-    """Undo a frequency offset on an (R, C) window whose row r starts at buffer position row_starts[r].
+def _derotate(rows: np.ndarray, cfo_subcarriers: float, fft_size: int) -> np.ndarray:
+    """Undo a frequency offset on a C-sample window, or on each row of an (R, C) stack of them.
 
-    Sample (r, c) needs exp(w * (row_starts[r] + c)), w = -2*pi*i * cfo / fft_size: the row phasor
-    exp(w * row_starts[r]) times the column phasor exp(w * c), so R + C exponentials rather than R * C.
+    Sample c of a row, counted from the row's own first sample, is multiplied by exp(w * c),
+    w = -2*pi*i * cfo / fft_size.  Against the buffer's absolute index this leaves each row
+    turned by a constant phase, which the pilots' common-phase correction absorbs.  The phasor
+    is exp(w * 32a) exp(w * b) for c = 32a + b: 32 + C/32 exponentials rather than C of them.
     """
-    w = -2j * math.pi * cfo_subcarriers / fft_size
-    out = rows * np.exp(w * np.arange(rows.shape[1]))
-    out *= np.exp(w * np.asarray(row_starts))[:, None]
-    return out
+    w, n = -2j * math.pi * cfo_subcarriers / fft_size, rows.shape[-1]
+    return rows * np.multiply.outer(np.exp(w * 32 * np.arange(-(-n // 32))), np.exp(w * np.arange(32))).ravel()[:n]
 
 
 def _refine_window(params: OfdmParams) -> int:
@@ -153,7 +156,7 @@ def synchronize(samples, params: OfdmParams, n_symbols: int) -> SyncResult:
     window = _refine_window(params)
     lo = max(0, peak - window)
     hi = min(x.size - pre.size, peak + window)
-    seg = _derotate(x[None, lo : hi + pre.size], cfo_coarse, [lo], params.fft_size)[0]
+    seg = _derotate(x[lo : hi + pre.size], cfo_coarse, params.fft_size)
     xc = np.abs(np.correlate(seg, pre, mode="valid"))
     start = lo + int(np.argmax(xc))
     if start > x.size - params.frame_samples(n_symbols):
@@ -199,8 +202,7 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
     # (n_symbols, fft_size) view of the FFT windows, each starting past its CP
     cp = params.cp_length
     windows = x[sync.frame_start : needed].reshape(n_symbols, params.symbol_samples)[:, cp:]
-    starts = sync.frame_start + cp + params.symbol_samples * np.arange(n_symbols)
-    spectrum = _derotate(windows, sync.cfo_subcarriers, starts, params.fft_size)
+    spectrum = _derotate(windows, sync.cfo_subcarriers, params.fft_size)
     np.fft.fft(spectrum, axis=1, out=spectrum)  # in place: _derotate's array is never the caller's samples
 
     maps = _subcarrier_maps(params)
@@ -219,11 +221,11 @@ def receive_frame(samples, params: OfdmParams, reference_symbols, decode: bool =
 
     # per-symbol common phase from the pilots, then one-tap equalization
     cpe = np.angle(np.sum(rx_pilots * np.conj(h_pilot[None, :] * pilots), axis=1))
-    y_eq = np.divide(rx_data, h_data, out=rx_data)
+    y_eq = np.multiply(rx_data, 1.0 / h_data, out=rx_data)
     y_eq *= np.exp(-1j * cpe)[:, None]
 
-    err = np.abs(y_eq - ref)
-    evm = float(np.sqrt(np.mean(np.square(err, out=err))))
+    err = np.subtract(y_eq, ref).view(np.float64)  # |e|^2 is the sum of its two parts' squares
+    evm = float(np.sqrt(np.sum(np.square(err, out=err)) / y_eq.size))
 
     payload = None
     if decode:

@@ -52,6 +52,8 @@ def test_spec_validation():
         AntennaSpec(AntennaKind.HORN, 21.0, hpbw_deg=200.0)
     with pytest.raises(ValueError):
         AntennaSpec(AntennaKind.HORN, 21.0, front_to_back_db=-1.0)
+    with pytest.raises(ValueError, match="front_to_back_db must be > 0 dB"):  # a back lobe as strong as the main one
+        AntennaSpec(AntennaKind.HORN, 21.0, front_to_back_db=0.0)
     with pytest.raises(ValueError):
         AntennaSpec(AntennaKind.HORN, math.nan)
 

@@ -542,10 +542,10 @@ def test_waveform_sweep_matches_analytic_at_every_eligible_point(waveform_defaul
 # SHA-256 of the float64 bytes of evm_rms, sinr_db and capacity_bps, in that order, of a waveform sweep on
 # the default grid: the CSV's rounding hides a change in the last bit, these do not (numpy 2.4, x86-64)
 WAVEFORM_FLOAT_SHA256 = {
-    ("directional-0.1", 0): "849b6e66721bcc99a67115bbec337281809e3e2d28120a980c3de12d76b65e5e",
-    ("directional-0.1", 11): "9cceee549ad39b492ba75b2ef924ed2ed15f2d3bc60fde8fd6f37abf49897b87",
-    ("directional-1.8", 0): "67889b5712df11860314082c68f1af1b588f1313e08cf011c6dd7d24ce977c3e",
-    ("directional-1.8", 11): "95439aaceee0492aef34d69c5c22b9e6101b11d8fc312c364ad1d34708905204",
+    ("directional-0.1", 0): "51f68c794410fbde6cadf2479219ee494b391503d91ee34cc80516332814c141",
+    ("directional-0.1", 11): "12b171959dfbcd3fb1d0e71f050da22a4f0363673e5fc3011bb7dbc43a7b1ff0",
+    ("directional-1.8", 0): "0dd60fb889f657d23b7299cb936f6fd50b2dd0d6ad8495df81357fe3f85a5380",
+    ("directional-1.8", 11): "f608dfc4b55e5ca6f25ffa9820448b9a49b96f29d2f6e1cbf3455108df662800",
 }
 
 
@@ -572,6 +572,30 @@ def test_a_desired_level_far_below_any_preset_syncs_in_both_engines(scenarios):
     assert analytic.sync_ok.tolist() == waveform.sync_ok.tolist() == [1.0]
     assert waveform.sinr_db.tolist() == analytic.sinr_db.tolist() == [sc.sinr_ceiling_db]
     assert waveform.capacity_bps.tolist() == analytic.capacity_bps.tolist()
+
+
+_LEVELS = ("p_g_dbm", "p_u_dbm", "floor_dbm", "noise_figure_db")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["directional-0.1", "directional-1.8", "dipole-0.1"]),
+    x=st.integers(5, 33),
+    y=st.integers(0, 13),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_shifting_every_level_by_the_same_db_moves_no_waveform_outcome(scenarios, name, x, y, seed, data):
+    # desired, interference, noise and floor all move by the same dB: every buffer is scaled by one
+    # constant, and the receiver's timing metric and EVM are ratios, so nothing it decides may change
+    scenario = replace(scenarios[name], engine="waveform")
+    levels = [getattr(scenario, f) for f in _LEVELS]
+    shift = data.draw(st.floats(-MAX_LEVEL_DB - min(levels), MAX_LEVEL_DB - max(levels)), label="shift")
+    shifted = replace(scenario, **{f: v + shift for f, v in zip(_LEVELS, levels)})
+    grid = GridSpec(x_start_m=2 * x, x_end_m=2 * x + 4, y_start_m=2 * y, y_end_m=2 * y + 4)  # 3 x 3 points
+    base, moved = (run_capacity_sweep(sc, grid, seed) for sc in (scenario, shifted))
+    assert moved.sync_ok.tolist() == base.sync_ok.tolist()
+    np.testing.assert_allclose(moved.sinr_db, base.sinr_db, rtol=0.0, atol=1e-9, equal_nan=True)
 
 
 def test_receiver_noise_is_drawn_once_per_sweep(scenarios):

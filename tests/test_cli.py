@@ -150,6 +150,17 @@ def test_modem_sync_failure_report(capsys):
     assert "sinr_evm_db" not in out
 
 
+@pytest.mark.parametrize("snr", ["0", "2", "5", "10", "20"])
+def test_modem_evm_sinr_sits_below_the_analytic_sinr(capsys, snr):
+    # the receiver's channel-estimation loss (about -0.13 dB at 20 dB, -0.24 dB at 0 dB) is a contract:
+    # a gap of zero or more would mean the EVM no longer carries the channel estimate's noise
+    code, out, _ = run(["modem", "--snr", snr, "--sir", "inf", "--frames", "8"], capsys)
+    assert code == 0
+    m = re.search(r" gap_db=([-+0-9.]+)$", out)
+    assert m, out
+    assert float(m.group(1)) < 0.0
+
+
 @pytest.mark.parametrize(
     "args,line",
     [

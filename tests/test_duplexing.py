@@ -131,6 +131,18 @@ def test_duplicate_channel_use_violation():
     assert any("more than one uplink" in v for v in violations)
 
 
+def test_channel_outside_the_table_violation():
+    # build_channel_plan never assigns an unknown channel, so only a hand-built plan reaches this check
+    plan = ChannelPlan(
+        n_uavs=1,
+        channels=(Channel(1, 5.7e9), Channel(2, 5.71e9)),
+        assignments=(Assignment(uav=1, uplink=1, downlink=4),),
+        pairs=(),
+        min_separation=1,
+    )
+    assert validate_plan(plan) == ["UAV#1: downlink Ch4 not in the channel table"]
+
+
 def test_impossible_channel_budget():
     with pytest.raises(ValueError):
         build_channel_plan(0)

@@ -533,28 +533,19 @@ def test_sync_cfo_estimate_clean():
     assert abs(s.cfo_subcarriers) < 1e-6 / (P.sampling_rate_hz / P.fft_size)
 
 
-def _reference_derotate(x, cfo_subcarriers, index, fft_size):
-    """One complex exponential per sample, at its absolute buffer position."""
-    return x * np.exp(-2j * math.pi * cfo_subcarriers * index / fft_size)
-
-
 @pytest.mark.parametrize("n_rows", [1, 28])
 def test_derotate_matches_full_index_formula(n_rows):
+    # one complex exponential per column, counted from each row's own first sample: every row gets the
+    # same phasor, whatever the window's position in the buffer (its constant phase is the pilots' job)
     rng = np.random.default_rng(28 + n_rows)
-    cp, stride = P.cp_length, P.symbol_samples
     for _ in range(20):
         cfo = rng.uniform(-0.5, 0.5)
-        start = int(rng.integers(0, 40_001))
-        x = rng.standard_normal(start + n_rows * stride) + 1j * rng.standard_normal(start + n_rows * stride)
-        # the FFT windows of receive_frame: rows of one OFDM symbol each, CP skipped
-        rows = x[start:].reshape(n_rows, stride)[:, cp:]
-        index = np.arange(start, x.size).reshape(n_rows, stride)[:, cp:]
-        got = _derotate(rows, cfo, start + cp + stride * np.arange(n_rows), P.fft_size)
-        np.testing.assert_allclose(got, _reference_derotate(rows, cfo, index, P.fft_size), rtol=1e-12, atol=0)
-        # the matched-filter window of synchronize: one row of consecutive samples
-        seg = x[None, start:]
-        want = _reference_derotate(seg, cfo, np.arange(start, x.size), P.fft_size)
-        np.testing.assert_allclose(_derotate(seg, cfo, [start], P.fft_size), want, rtol=1e-12, atol=0)
+        # receive_frame's FFT windows are fft_size wide; synchronize's matched-filter window is not a multiple of 32
+        n_cols = int(rng.choice([P.fft_size, int(rng.integers(1, 3_000))]))
+        rows = rng.standard_normal((n_rows, n_cols)) + 1j * rng.standard_normal((n_rows, n_cols))
+        want = rows * np.exp(-2j * math.pi * cfo * np.arange(n_cols) / P.fft_size)
+        np.testing.assert_allclose(_derotate(rows, cfo, P.fft_size), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(_derotate(rows[0], cfo, P.fft_size), want[0], rtol=1e-12, atol=0)  # 1-D, as in sync
 
 
 def _with_cfo(x, cfo_subcarriers):
@@ -574,6 +565,26 @@ def test_receive_corrects_injected_cfo(cfo):
     rx = receive_frame(shifted, P, fb.data_symbols, decode=False)
     assert rx.sync_success
     assert abs(20 * math.log10(rx.evm_rms / clean.evm_rms)) < 0.5
+
+
+@pytest.mark.parametrize("cfo", [0.0, 0.07, -0.3])
+def test_a_phase_per_ofdm_symbol_moves_neither_evm_nor_payload(cfo):
+    # the common-phase correction absorbs any constant phase of a whole symbol, CP included: the licence for
+    # de-rotating each FFT window from its own first sample rather than from its place in the buffer
+    n_symbols, lead = 6, 300
+    fb = rand_frame(P, n_symbols, seed=31)
+    fi = rand_frame(P, n_symbols, seed=32, pilot_stream=1).body_stream()
+    buf = np.concatenate([np.zeros(lead, complex), fb.samples, np.zeros(200, complex)])
+    mixed = _with_cfo(impair(buf, fi, 0.0, 20.0, noise_power_for_subcarrier_snr(P, 18.0, n_symbols), seed=5), cfo)
+    turned = mixed.copy()
+    body = turned[lead + P.preamble_samples : lead + fb.samples.size].reshape(n_symbols, P.symbol_samples)
+    body *= np.exp(2j * math.pi * np.random.default_rng(33).uniform(0.0, 1.0, n_symbols))[:, None]
+    base = receive_frame(mixed, P, fb.data_symbols, decode=True)
+    rx = receive_frame(turned, P, fb.data_symbols, decode=True)
+    assert base.sync_success and rx.sync_success
+    assert rx.evm_rms == pytest.approx(base.evm_rms, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(rx.payload, base.payload)
+    np.testing.assert_array_equal(rx.payload, fb.payload)
 
 
 _OFFSET_FRAME = rand_frame(P, 2, seed=29)
