@@ -441,7 +441,8 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         metrics = np.empty(len(interfered))
         for c in range(0, len(interfered), GATE_CHUNK_ROWS):
             rows = slice(c, c + GATE_CHUNK_ROWS)
-            heads = shifted[delays[rows], :head] * gains[rows, None]
+            heads = shifted[delays[rows], :head]  # fancy indexing copies, so the heads are formed in place
+            heads *= gains[rows, None]
             heads += desired[:head]
             metrics[rows] = gate_metric(heads, params)
         table.sync_ok[interfered] = 0.0

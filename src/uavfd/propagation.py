@@ -32,7 +32,6 @@ class NodeConfig:
 
 def fspl_db(d_m: float | np.ndarray, f_hz: float) -> float | np.ndarray:
     """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
-    d_m = np.asarray(d_m, dtype=float)
     if np.any(d_m <= 0.0):
         raise ValueError(f"distance must be > 0 m, got {np.min(d_m)}")
     if f_hz <= 0.0:

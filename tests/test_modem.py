@@ -748,6 +748,40 @@ def test_timing_metric_of_an_all_zero_window_is_exactly_zero():
     assert np.all(metric[signal.size :] == 0.0)
 
 
+def test_timing_metric_over_a_noise_tail_60_db_down_keeps_its_relative_accuracy():
+    # both running sums carry the frame's rounding into a tail with a millionth of its power; the worst start
+    # is about 3e-7 off, set by p's difference (the sliding r adds less)
+    frame, half = rand_frame(P, 2, seed=38).samples, P.fft_size // 2
+    rng = np.random.default_rng(38)
+    x = np.r_[frame, 1e-3 * (rng.standard_normal(1500) + 1j * rng.standard_normal(1500)) / math.sqrt(2)]
+    metric = _timing_metric(x, half)[1]
+    want = _windowed_timing_metric(x, half)[1]
+    assert metric.size == want.size == x.size - 2 * half + 1
+    np.testing.assert_allclose(metric, want, rtol=1e-6, atol=0)
+
+
+def test_a_silent_trailing_half_between_two_frames_reads_exactly_zero():
+    frame, half = rand_frame(P, 2, seed=39).samples, P.fft_size // 2
+    x = np.r_[frame, np.zeros(1500, complex), frame]
+    p, metric = _timing_metric(x, half)
+    silent = slice(frame.size - half, frame.size + 1500 - 2 * half + 1)  # the starts whose trailing half is all zeros
+    assert metric[silent.start - 1] > 0.0
+    assert np.all(p[silent] == 0.0) and np.all(metric[silent] == 0.0)
+    np.testing.assert_allclose(metric, _windowed_timing_metric(x, half)[1], rtol=0, atol=1e-12)
+    for length in (frame.size + 700, frame.size + 1500 + 2 * half, x.size - 1):
+        head_p, head_metric = _timing_metric(x[:length], half)
+        assert np.array_equal(head_p.view(np.int64), p[: head_p.size].view(np.int64))
+        assert np.array_equal(head_metric.view(np.int64), metric[: head_metric.size].view(np.int64))
+
+
+def test_timing_metric_of_a_strided_view_is_that_of_its_copy():
+    x = np.repeat(rand_frame(P, 2, seed=40).samples, 2)[::2]
+    assert not x.flags.c_contiguous
+    for got, want in zip(_timing_metric(x, P.fft_size // 2), _timing_metric(x.copy(), P.fft_size // 2)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert synchronize(x, P, 2) == synchronize(x.copy(), P, 2)
+
+
 # ----------------------------------------------------------------- receive
 
 
