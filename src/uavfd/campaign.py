@@ -25,13 +25,14 @@ every interference-free point shares one receiver pass.  A point's
 interferer is a row of `delayed_interferer`'s table, the one definition
 that `impair` uses too, built once per sweep.  The interfered points'
 heads, the 1,088 of 33,280 samples the receiver's sync gate reads, are
-taken from it and gated as the rows of one array per chunk of
-GATE_CHUNK_ROWS; only a point whose head passes has its full buffer
-formed and received.  Every run seed comes from `key_fold`, a
-SplitMix64 hash of (seed, stream, integer words): the rig payloads and
-noise from the sweep seed alone, each point's delay and pointing error
-from its position in mm (`point_keys`), so a point's result depends
-neither on evaluation order nor on the grid it was swept in.
+bounded in one `gate_bound` call; only a head whose bound reaches
+GATE_BOUND_MARGIN of the threshold is taken from the table and gated,
+GATE_CHUNK_ROWS heads per call, and only a point whose head passes has
+its full buffer formed and received.  Every run seed comes from
+`key_fold`, a SplitMix64 hash of (seed, stream, integer words): the rig
+payloads and noise from the sweep seed alone, each point's delay and
+pointing error from its position in mm (`point_keys`), so a point's
+result depends neither on evaluation order nor on the grid it was swept in.
 
 Sweep results are a `SweepTable` of float64 columns, row i being grid
 point i: x, y, h, reported and raw interference, desired power, EVM,
@@ -58,7 +59,7 @@ from .metrics import (
     sinr_analytic,
     sinr_from_evm,
 )
-from .phy import SYNC_THRESHOLD, FrameBuffer, OfdmParams, build_frame, gate_length, gate_metric
+from .phy import SYNC_THRESHOLD, FrameBuffer, OfdmParams, build_frame, gate_bound, gate_length, gate_metric
 from .phy import impair, receive_frame
 from .phy.modem import _U64, delayed_interferer, interferer_delay, splitmix64
 from .propagation import NodeConfig, fspl_db, link_gain_db, noise_floor_dbm
@@ -72,6 +73,7 @@ NEAR_FIELD_DISTANCE_M = 1.0
 
 FRAME_SYMBOLS = 28  # OFDM data symbols per frame of the waveform capacity sweep
 GATE_CHUNK_ROWS = 16  # interfered heads per batched sync-gate call of the waveform sweep
+GATE_BOUND_MARGIN = 0.9  # a head is gated only where its gate_bound reaches this share of SYNC_THRESHOLD
 
 _FINITE = ("finite", np.isfinite)
 _NON_NEGATIVE = ("finite and >= 0", lambda c: np.isfinite(c) & (c >= 0.0))
@@ -399,7 +401,8 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
     once per sweep with `impair`, and each interfered point adds its
     delayed interferer to it as `impair` would.  The receiver runs once for
     all interference-free points and once per other point whose head
-    passes the sync gate.  SINR comes from measured EVM,
+    passes the sync gate; a head whose `gate_bound` proves it fails is never
+    formed.  SINR comes from measured EVM,
     and a point with failed time synchronization contributes zero capacity.
     The power map's columns are filled in, so the result carries both stages.
     """
@@ -436,11 +439,12 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         delays = interferer_delay(point_keys(seed, _DELAY_STREAM, pos), interferer.size).astype(np.intp)
         # impair's Python-float gain; numpy's vector power can move the last bit
         gains = np.array([10.0 ** (level / 20.0) for level in i_dbm[interfered].tolist()])
-        # each interfered point's head meets the sync gate, GATE_CHUNK_ROWS heads per call
+        # a head whose bound reaches the margin meets the gate, GATE_CHUNK_ROWS per call; a pruned one keeps its bound
         head = gate_length(desired.size, params, FRAME_SYMBOLS)
-        metrics = np.empty(len(interfered))
-        for c in range(0, len(interfered), GATE_CHUNK_ROWS):
-            rows = slice(c, c + GATE_CHUNK_ROWS)
+        metrics = gate_bound(desired[:head], interferer, gains, params)
+        gated = np.flatnonzero(metrics >= GATE_BOUND_MARGIN * SYNC_THRESHOLD)
+        for c in range(0, len(gated), GATE_CHUNK_ROWS):
+            rows = gated[c : c + GATE_CHUNK_ROWS]
             heads = shifted[delays[rows], :head]  # fancy indexing copies, so the heads are formed in place
             heads *= gains[rows, None]
             heads += desired[:head]

@@ -11,7 +11,8 @@ from .modem import (
     noise_power_for_subcarrier_snr,
     write_iq,
 )
-from .receiver import RxResult, SYNC_THRESHOLD, SyncResult, gate_length, gate_metric, receive_frame, synchronize
+from .receiver import RxResult, SYNC_THRESHOLD, SyncResult, gate_bound, gate_length, gate_metric, receive_frame
+from .receiver import synchronize
 
 __all__ = [
     "FrameBuffer",
@@ -24,6 +25,7 @@ __all__ = [
     "demap_16qam",
     "fec_decode",
     "fec_encode",
+    "gate_bound",
     "gate_length",
     "gate_metric",
     "impair",

@@ -181,7 +181,7 @@ def map_16qam(bits) -> np.ndarray:
         raise ValueError(f"bit count must be a multiple of {BITS_PER_SYMBOL}")
     if b.size and (b.min() < 0 or b.max() > 1):
         raise ValueError("bits must be 0 or 1")
-    return _QAM_POINTS[b.reshape(-1, BITS_PER_SYMBOL) @ [8, 4, 2, 1]]
+    return _QAM_POINTS[b[0::4] << 3 | b[1::4] << 2 | b[2::4] << 1 | b[3::4]]
 
 
 def demap_16qam(symbols) -> np.ndarray:
@@ -230,7 +230,7 @@ class FrameBuffer:
         a lock-able preamble of its own.
         """
         body = self.samples[self.params.preamble_samples :]
-        return body / np.sqrt(np.mean(np.abs(body) ** 2))
+        return body * (1.0 / np.sqrt(np.mean(np.abs(body) ** 2)))
 
 
 @cache
@@ -289,7 +289,7 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     body_power = np.mean(np.abs(body) ** 2)
     boost = 10.0 ** (params.preamble_boost_db / 10.0)
     np.multiply(_preamble(params), math.sqrt(boost * body_power), out=samples[: params.preamble_samples])
-    samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
+    samples *= 1.0 / np.sqrt(np.mean(np.abs(samples) ** 2))  # complex / real already multiplies by the reciprocal
 
     return FrameBuffer(samples, params, n_symbols, syms, payload)
 

@@ -18,7 +18,18 @@ maximum-likelihood timing of Schmidl & Cox (IEEE Trans. Commun. 45(12),
 `gate_metric` of the first `gate_length` samples is the peak `synchronize`
 thresholds; it works along the last axis, so the waveform sweep gates its
 interfered points' heads (1,088 samples each) as the rows of one array per
-chunk and forms a point's full buffer only when its head passes.
+chunk.  `gate_bound` bounds that peak before a head x = D + g I is formed
+(D the received head, g a gain, I a circular window of the interferer
+stream).  At every start, by the triangle and Cauchy-Schwarz inequalities,
+|p| <= A + g (sqrt(L E_max) + sqrt(E_max R)) + g^2 Pi and, where
+g sqrt(E_min) > sqrt(R), r >= (g sqrt(E_min) - sqrt(R))^2 (else the bound
+is inf): A, L and R are D's largest |p| and leading and trailing half-window
+energies over its starts, Pi the stream's largest |p| and E_min and E_max its
+extreme half-window energies over every circular start.  The sweep prunes a
+head only where its bound is under 0.9 of SYNC_THRESHOLD, a margin rounding
+cannot cross: there g sqrt(E_min) > 3.9 sqrt(R), so the bound's one
+difference loses at most 1.7x to cancellation, and each statistic, like the
+metric, is a difference of running sums of like energy, good to ~1e-12.
 
 Frequency-offset de-rotation is applied only where it is used: to the
 matched-filter window in `synchronize` and to the FFT windows (CP
@@ -46,6 +57,7 @@ from .modem import OfdmParams, _as_samples, _pilot_matrix, _preamble, _subcarrie
 
 SYNC_THRESHOLD = 0.5
 _ENERGY_EPS = np.finfo(np.float64).tiny  # the smallest normal float: the metric is scale-free down to it
+_BOUND_BLOCK = 2048  # stream starts per block of gate_bound's statistics: about 200 KB of working arrays
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,27 @@ def gate_metric(head: np.ndarray, params: OfdmParams):
     """
     peak = np.max(_timing_metric(head, params.fft_size // 2)[1], axis=-1)
     return float(peak) if peak.ndim == 0 else peak
+
+
+def gate_bound(head: np.ndarray, stream: np.ndarray, gains: np.ndarray, params: OfdmParams) -> np.ndarray:
+    """For each gain g, a bound (see the module docstring) on `gate_metric(head + g * w)` over every circular
+    head-length window w of stream, whose statistics are taken _BOUND_BLOCK starts at a time."""
+    half = params.fft_size // 2
+
+    def stats(x):  # x's largest |p| and the energy of each of its half-windows, as differences of running sums
+        sums = [np.cumsum(v, out=v) for v in (np.conj(x[:-half]) * x[half:], np.square(x.real) + np.square(x.imag))]
+        p, energies = (c[half - 1 :] - np.concatenate(([0.0], c[:-half])) for c in sums)
+        return np.abs(p).max(), energies
+
+    a, energies = stats(head)
+    lead, trail = energies[:-half].max(), energies[half:].max()
+    pi, e_min, e_max = 0.0, math.inf, 0.0
+    for b in range(0, stream.size, _BOUND_BLOCK):
+        p, energies = stats(stream.take(np.arange(b, b + _BOUND_BLOCK + 2 * half), mode="wrap"))
+        pi, e_min, e_max = max(pi, p), min(e_min, energies.min()), max(e_max, energies.max())
+    num = a + gains * (math.sqrt(lead * e_max) + math.sqrt(e_max * trail)) + np.square(gains) * pi
+    root = gains * math.sqrt(e_min) - math.sqrt(trail)
+    return np.divide(num, np.square(root), out=np.full(root.shape, math.inf), where=root > 0.0)
 
 
 def synchronize(samples, params: OfdmParams, n_symbols: int) -> SyncResult:

@@ -36,6 +36,7 @@ from uavfd.phy import (
     SYNC_THRESHOLD,
     OfdmParams,
     build_frame,
+    gate_bound,
     gate_length,
     gate_metric,
     impair,
@@ -43,7 +44,7 @@ from uavfd.phy import (
     receiver,
     synchronize,
 )
-from uavfd.phy.modem import _retain_freed_heap, splitmix64
+from uavfd.phy.modem import _retain_freed_heap, delayed_interferer, splitmix64
 from uavfd.propagation import noise_floor_dbm
 
 
@@ -641,11 +642,15 @@ def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, sce
     assert len(calls) == passed + 1
 
 
+_GATED_HEADS = {"dipole-0.1": 0, "directional-0.1": 137}  # interfered heads whose bound reaches the margin, seed 0
+
+
 @pytest.mark.parametrize("name,received,heads", [("dipole-0.1", 0, 496), ("directional-0.1", 80, 140)])
 def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenarios, grid, name, received, heads):
     # impair forms only the received desired signal; the receiver sees the interference-free buffer
-    # and each interfered point whose head passes the gate; every interfered point's head is a row of a batched gate
-    impaired, sizes = [], []
+    # and each interfered point whose head passes the gate; every interfered point's head is bounded in
+    # one call, and each whose bound reaches the margin is a row of a batched gate
+    impaired, sizes, bounded = [], [], []
 
     def counted_impair(desired, *args, **kwargs):
         impaired.append(np.size(getattr(desired, "samples", desired)))
@@ -657,19 +662,26 @@ def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenari
 
     monkeypatch.setattr(campaign, "impair", counted_impair)
     monkeypatch.setattr(campaign, "receive_frame", counted_receive)
+    monkeypatch.setattr(campaign, "gate_bound", lambda *args: bounded.append(args[2].size) or gate_bound(*args))
     gated = _count_gate_rows(monkeypatch)
     run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed=0)
     frame = OfdmParams().frame_samples(campaign.FRAME_SYMBOLS)
     assert gate_length(frame, OfdmParams(), campaign.FRAME_SYMBOLS) == 1088
     assert impaired == [frame]
     assert (sizes.count(frame), len(sizes)) == (received, received)
-    chunk = campaign.GATE_CHUNK_ROWS
-    assert [shape for shape, _ in gated] == [(min(chunk, heads - c), 1088) for c in range(0, heads, chunk)]
+    chunk, rows = campaign.GATE_CHUNK_ROWS, _GATED_HEADS[name]
+    assert bounded == [heads]
+    assert [shape for shape, _ in gated] == [(min(chunk, rows - c), 1088) for c in range(0, rows, chunk)]
+
+
+def _open_bound(head, stream, gains, params):
+    """A gate_bound that prunes no head."""
+    return np.full(gains.size, math.inf)
 
 
 @pytest.mark.parametrize("name,seed", [("dipole-0.1", 3), ("directional-0.1", 3), ("directional-1.8", 11)])
 def test_head_gate_changes_no_row(monkeypatch, scenarios, grid, name, seed):
-    # with the head gate always passed, every interfered point takes the full receiver pass
+    # with the bound and the head gate always passed, every interfered point takes the full receiver pass
     scenario = replace(scenarios[name], engine="waveform")
     gated = run_capacity_sweep(scenario, grid, seed)
     forced = []
@@ -678,6 +690,7 @@ def test_head_gate_changes_no_row(monkeypatch, scenarios, grid, name, seed):
         forced.append(len(heads))
         return np.full(len(heads), math.inf)
 
+    monkeypatch.setattr(campaign, "gate_bound", _open_bound)
     monkeypatch.setattr(campaign, "gate_metric", always_passed)
     full = run_capacity_sweep(scenario, grid, seed)
     assert sum(forced) == np.count_nonzero(gated.interference_raw_dbm >= scenario.floor_dbm) > 0
@@ -688,7 +701,8 @@ def test_head_gate_changes_no_row(monkeypatch, scenarios, grid, name, seed):
 @pytest.mark.parametrize("name", ["dipole-0.1", "directional-0.1", "directional-1.8"])
 @pytest.mark.parametrize("seed", [0, 11])
 def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, grid, name, seed):
-    """Each batched head is bit for bit the received head plus the interferer delayed by explicit index."""
+    """Each batched head is bit for bit the received head plus the interferer delayed by explicit index;
+    each head the bound prunes, formed that way, has an exact metric under its bound and fails."""
     formed = {}
 
     def recorded(attr, fn):
@@ -702,6 +716,12 @@ def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, g
     recorded("rig_frame", rig_frame)
     gated = []
 
+    def bound(*args):  # the sweep overwrites the bounds it is given with the gated heads' metrics
+        formed["gate_bound"] = gate_bound(*args)
+        return formed["gate_bound"].copy()
+
+    monkeypatch.setattr(campaign, "gate_bound", bound)
+
     def gate(heads, params):
         gated.append((heads.copy(), gate_metric(heads, params)))
         return gated[-1][1]
@@ -709,20 +729,75 @@ def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, g
     monkeypatch.setattr(campaign, "gate_metric", gate)
     scenario = replace(scenarios[name], engine="waveform")
     table = run_capacity_sweep(scenario, grid, seed)
-    desired, (_, interferer, _) = formed["impair"], formed["rig_frame"]
-    heads = np.concatenate([h for h, _ in gated])
-    batched = np.concatenate([m for _, m in gated])
+    desired, (_, interferer, _), bounds = formed["impair"], formed["rig_frame"], formed["gate_bound"]
+    gated = iter([(h, m) for heads, metrics in gated for h, m in zip(heads, metrics.tolist())])
     params = OfdmParams()
     head, n = gate_length(desired.size, params, campaign.FRAME_SYMBOLS), interferer.size
     rows = np.flatnonzero(table.interference_raw_dbm >= scenario.floor_dbm)
     keys = point_keys(seed, campaign._DELAY_STREAM, np.column_stack((table.x, table.y, table.h))[rows])
-    assert len(rows) == len(heads) == batched.size > 100
-    for key, i_dbm, row, m in zip(keys.tolist(), table.interference_dbm[rows].tolist(), heads, batched.tolist()):
+    assert len(rows) == bounds.size > 100
+    levels, syncs = table.interference_dbm[rows].tolist(), table.sync_ok[rows].tolist()
+    for key, i_dbm, limit, sync in zip(keys.tolist(), levels, bounds.tolist(), syncs):
         d = splitmix64(key) * n >> 64
         want = desired[:head] + interferer[(np.arange(head) - d) % n] * 10.0 ** (i_dbm / 20.0)
-        assert np.array_equal(row.view(np.int64), want.view(np.int64))
         metric = gate_metric(want, params)
+        if limit < campaign.GATE_BOUND_MARGIN * SYNC_THRESHOLD:  # pruned: never formed, and it fails
+            assert metric <= limit < SYNC_THRESHOLD and sync == 0.0
+            continue
+        row, m = next(gated)
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
         assert isinstance(metric, float) and m.hex() == metric.hex()
+    assert next(gated, None) is None
+
+
+@pytest.mark.parametrize("name", ["dipole-0.1", "directional-0.1", "directional-1.8"])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_an_open_gate_bound_changes_no_table_bit(monkeypatch, scenarios, grid, name, seed):
+    # with no head pruned, every interfered head meets the exact gate, and no output may move
+    scenario = replace(scenarios[name], engine="waveform")
+    pruned = run_capacity_sweep(scenario, grid, seed)
+    monkeypatch.setattr(campaign, "gate_bound", _open_bound)
+    for a, b in zip(pruned.columns(), run_capacity_sweep(scenario, grid, seed).columns()):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_the_gate_bound_prunes_every_dipole_head(monkeypatch, scenarios, grid, seed):
+    # every dipole-0.1 point sits 36-71 dB below its interferer: the bound alone fails each one
+    gated = _count_gate_rows(monkeypatch)
+    table = run_capacity_sweep(replace(scenarios["dipole-0.1"], engine="waveform"), grid, seed)
+    assert gated == [] and not table.sync_ok.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["dipole-0.1", "directional-0.1", "directional-1.8"]),
+    seed=st.integers(0, 2**32),
+    near_margin=st.booleans(),
+    data=st.data(),
+)
+def test_a_head_metric_never_exceeds_its_gate_bound(scenarios, name, seed, near_margin, data):
+    # a head is the received desired head plus a delayed interferer times its gain, as the sweep forms it;
+    # its exact gate metric is at most its bound, and a head the bound would prune fails the gate
+    level, params, bandwidth = st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB), OfdmParams(), scenarios[name].bandwidth_hz
+    p_g_dbm, noise_figure_db = data.draw(level, label="p_g_dbm"), data.draw(level, label="noise_figure_db")
+    frame, interferer, noise_seed = rig_frame(params, campaign.FRAME_SYMBOLS, seed)
+    noise_dbm = noise_floor_dbm(bandwidth, noise_figure_db) + 10.0 * math.log10(params.sampling_rate_hz / bandwidth)
+    desired = impair(frame, None, -p_g_dbm, math.inf, noise_dbm, noise_seed)
+    head = desired[: gate_length(desired.size, params, campaign.FRAME_SYMBOLS)]
+    shifted = delayed_interferer(interferer, head.size)[data.draw(st.integers(0, interferer.size), label="delay")]
+    prune_below = campaign.GATE_BOUND_MARGIN * SYNC_THRESHOLD
+    if near_margin:  # a gain within a few 0.01 dB steps of where the bound crosses the margin
+        gains = math.sqrt(np.mean(np.square(np.abs(head)))) * 10.0 ** (np.arange(-100, 8000) / 2000.0)
+        near = np.argmin(np.abs(gate_bound(head, interferer, gains, params) - prune_below))
+        gain = gains[np.clip(near + data.draw(st.integers(-3, 3), label="steps"), 0, gains.size - 1)]
+    else:
+        gain = 10.0 ** (data.draw(level, label="i_dbm") / 20.0)
+    bound = gate_bound(head, interferer, np.array([gain]), params)[0]
+    metric = gate_metric(shifted * gain + head, params)
+    assert metric <= bound
+    if bound < prune_below:
+        assert metric < SYNC_THRESHOLD
 
 
 _SMALL_GRID = GridSpec(x_step_m=6.0, y_step_m=6.0)

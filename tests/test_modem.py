@@ -714,6 +714,39 @@ def test_head_timing_metric_is_bit_identical_to_the_full_buffer_one(n_symbols, s
     assert np.array_equal(head_metric.view(np.int64), metric[: last + 1].view(np.int64))
 
 
+@pytest.mark.parametrize("block", [16, 2048])
+def test_gate_bound_is_its_formula_over_statistics_taken_window_by_window(monkeypatch, block):
+    # a small numerology keeps the explicit windows cheap; blocks of 16 starts split the stream 19 ways
+    params, rng = OfdmParams(fft_size=64, cp_length=16, active_subcarriers=48), np.random.default_rng(block)
+    half = params.fft_size // 2
+    head = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    head[: 2 * half] *= np.linspace(3.0, 0.5, 2 * half)  # leading half-windows stronger than trailing ones
+    stream = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    stream[5:25] *= 4.0  # the extremes sit near the stream's start, where circular windows wrap
+    gains = np.geomspace(1e-3, 1e3, 50)
+    monkeypatch.setattr(receiver, "_BOUND_BLOCK", block)
+
+    def windows(x, starts, length):  # row s is x[(s + m) % x.size] for m < length
+        return x[(np.asarray(starts)[:, None] + np.arange(length)) % x.size]
+
+    def corr(w):
+        return np.abs(np.sum(np.conj(w[:, :half]) * w[:, half:], axis=1))
+
+    def energy(w):
+        return np.sum(np.abs(w) ** 2, axis=1)
+
+    starts = np.arange(head.size - 2 * half + 1)
+    a = corr(windows(head, starts, 2 * half)).max()
+    lead, trail = energy(windows(head, starts, half)).max(), energy(windows(head, starts + half, half)).max()
+    pi, e = corr(windows(stream, range(stream.size), 2 * half)).max(), energy(windows(stream, range(stream.size), half))
+    num = a + gains * (np.sqrt(lead * e.max()) + np.sqrt(e.max() * trail)) + gains**2 * pi
+    root = gains * np.sqrt(e.min()) - np.sqrt(trail)
+    want = np.full(gains.size, math.inf)
+    want[root > 0.0] = num[root > 0.0] / root[root > 0.0] ** 2
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    np.testing.assert_allclose(receiver.gate_bound(head, stream, gains, params), want, rtol=1e-12)
+
+
 def _windowed_timing_metric(x, half):
     """Oracle: p[d] and |p[d]|/r[d] from an explicit sum over each start's own window."""
     p, r = [], []
