@@ -19,16 +19,17 @@ directly to SINR and Shannon capacity, `waveform` actually runs framed
 OFDM through the combiner rig and derives SINR from measured EVM,
 including the possibility of synchronization failure.  Like the SDR rig,
 it replays one frame per sweep, and it draws the receiver noise once per
-sweep too (common random numbers): the received desired signal, frame
-plus noise, is formed once, each point adds only its interferer, and
-every interference-free point shares one receiver pass.  A point's
-interferer is a row of `delayed_interferer`'s table, the one definition
-that `impair` uses too, built once per sweep.  The interfered points'
-heads, the 1,088 of 33,280 samples the receiver's sync gate reads, are
-bounded in one `gate_bound` call; only a head whose bound reaches
-GATE_BOUND_MARGIN of the threshold is taken from the table and gated,
-GATE_CHUNK_ROWS heads per call, and only a point whose head passes has
-its full buffer formed and received.  Every run seed comes from
+sweep too (common random numbers): each point adds only its interferer
+to one received desired signal, frame plus noise, and every
+interference-free point shares one receiver pass.  The interfered
+points' heads, the 1,088 of 33,280 samples the receiver's sync gate
+reads, are bounded in one `gate_bound` call; only a head whose bound
+reaches GATE_BOUND_MARGIN of the threshold is formed, from a row of
+`delayed_interferer`'s table (the one definition `impair` uses too,
+built once if any head is), and gated, GATE_CHUNK_ROWS heads per call.
+The received signal's head is formed first, and the rest only for a
+receiver pass: the clean one, or a point whose head passes, whose full
+buffer alone is formed and received.  Every run seed comes from
 `key_fold`, a SplitMix64 hash of (seed, stream, integer words): the rig
 payloads and noise from the sweep seed alone, each point's delay and
 pointing error from its position in mm (`point_keys`), so a point's
@@ -402,8 +403,9 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
     delayed interferer to it as `impair` would.  The receiver runs once for
     all interference-free points and once per other point whose head
     passes the sync gate; a head whose `gate_bound` proves it fails is never
-    formed.  SINR comes from measured EVM,
-    and a point with failed time synchronization contributes zero capacity.
+    formed, and the signal past the head is formed only for a receiver pass.
+    SINR comes from measured EVM, and a point with failed time
+    synchronization contributes zero capacity.
     The power map's columns are filled in, so the result carries both stages.
     """
     table = run_power_sweep(scenario, grid, seed)
@@ -427,22 +429,24 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         params = OfdmParams()
         frame, interferer, noise_seed = rig_frame(params, FRAME_SYMBOLS, seed)
         # common random numbers: the desired level is one per sweep and the
-        # receiver noise is drawn once for every point, so the received desired
-        # signal is formed once; the noise is white, its PSD fixed by the
+        # receiver noise is drawn once for every point, so one received desired
+        # signal serves them all; the noise is white, its PSD fixed by the
         # configured floor over the full sampled band
         noise_wave_dbm = noise_dbm + 10.0 * math.log10(params.sampling_rate_hz / scenario.bandwidth_hz)
-        desired = impair(frame, None, -table.desired_dbm[0].item(), math.inf, noise_wave_dbm, noise_seed)
-        # an interfered point's buffer is desired + shifted[d] * gain, as impair adds it with no noise drawn
-        shifted = delayed_interferer(interferer, desired.size)
-        interfered = np.flatnonzero(i_dbm > -math.inf)
+        rig = (frame, None, -table.desired_dbm[0].item(), math.inf, noise_wave_dbm, noise_seed)
+        interfered, clean = np.flatnonzero(i_dbm > -math.inf), np.flatnonzero(i_dbm == -math.inf)
+        # the gate reads the head alone: the whole signal is formed now only for the clean pass, else past the gate
+        head = gate_length(frame.samples.size, params, FRAME_SYMBOLS)
+        desired = impair(*rig, length=None if clean.size else head)
         pos = np.column_stack((table.x, table.y, table.h))[interfered]
         delays = interferer_delay(point_keys(seed, _DELAY_STREAM, pos), interferer.size).astype(np.intp)
         # impair's Python-float gain; numpy's vector power can move the last bit
         gains = np.array([10.0 ** (level / 20.0) for level in i_dbm[interfered].tolist()])
         # a head whose bound reaches the margin meets the gate, GATE_CHUNK_ROWS per call; a pruned one keeps its bound
-        head = gate_length(desired.size, params, FRAME_SYMBOLS)
         metrics = gate_bound(desired[:head], interferer, gains, params)
         gated = np.flatnonzero(metrics >= GATE_BOUND_MARGIN * SYNC_THRESHOLD)
+        # an interfered point's buffer is desired + shifted[d] * gain, as impair adds it with no noise drawn
+        shifted = delayed_interferer(interferer, frame.samples.size) if gated.size else None
         for c in range(0, len(gated), GATE_CHUNK_ROWS):
             rows = gated[c : c + GATE_CHUNK_ROWS]
             heads = shifted[delays[rows], :head]  # fancy indexing copies, so the heads are formed in place
@@ -452,9 +456,9 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         table.sync_ok[interfered] = 0.0
         # every interference-free point sees the same rig input, so one pass serves them all;
         # only an interfered point whose head passes the gate has its full buffer formed and received
-        clean = np.flatnonzero(i_dbm == -math.inf)
         passes = [(clean, None)] if clean.size else []
         passes += [([i], j) for j, i in enumerate(interfered.tolist()) if metrics[j] >= SYNC_THRESHOLD]
+        desired = impair(*rig) if passes and not clean.size else desired  # a passing head's pass reads it whole
         buf = np.empty_like(desired)  # every passing point's buffer, reused so that a pass stays in cache
         for rows, j in passes:
             if j is not None:  # the bits of shifted[d] * gain + desired

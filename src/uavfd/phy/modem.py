@@ -176,7 +176,8 @@ def map_16qam(bits) -> np.ndarray:
     Per axis, bit pair (u0, u1) maps to level (1-2*u0)*(1+2*u1); the four
     bits of a symbol are (I0, I1, Q0, Q1), so 0000 -> (1+1j)/sqrt(10).
     """
-    b = np.asarray(bits, dtype=np.int64).ravel()
+    # a uint8 array, as fec_encode gives, is indexed as it is: its bits' shifted sum stays under 16
+    b = (bits if isinstance(bits, np.ndarray) and bits.dtype == np.uint8 else np.asarray(bits, dtype=np.int64)).ravel()
     if b.size % BITS_PER_SYMBOL != 0:
         raise ValueError(f"bit count must be a multiple of {BITS_PER_SYMBOL}")
     if b.size and (b.min() < 0 or b.max() > 1):
@@ -273,11 +274,13 @@ def build_frame(params: OfdmParams, payload_bits, pilot_stream: int = 0) -> Fram
     coded = fec_encode(payload.reshape(n_symbols, per_symbol))
     syms = map_16qam(coded).reshape(n_symbols, params.n_data_subcarriers)
 
-    maps = _subcarrier_maps(params)
-    spectrum = np.zeros((n_symbols, params.fft_size), dtype=np.complex128)
-    spectrum[:, maps.pilot_bins] = _pilot_matrix(params, n_symbols, pilot_stream)
-    spectrum[:, maps.data_bins] = syms
-    t = np.fft.ifft(spectrum, axis=1)
+    # the active subcarriers in logical order, as (n_pilots, pilot_spacing): each pilot, then the data after it
+    active = np.empty((n_symbols, params.n_pilots, params.pilot_spacing), dtype=np.complex128)
+    active[:, :, 0] = _pilot_matrix(params, n_symbols, pilot_stream)
+    active[:, :, 1:] = syms.reshape(n_symbols, params.n_pilots, -1)
+    t, half = np.zeros((n_symbols, params.fft_size), dtype=np.complex128), params.active_subcarriers // 2
+    t[:, -half:], t[:, 1 : half + 1] = np.split(active.reshape(n_symbols, -1), 2, axis=1)  # DC stays unused
+    np.fft.ifft(t, axis=1, out=t)
 
     cp = params.cp_length
     samples = np.empty(params.frame_samples(n_symbols), dtype=np.complex128)
@@ -314,18 +317,21 @@ def interferer_delay(seed, n: int):
     return ((z >> 32) * n + ((z & 0xFFFFFFFF) * n >> 32)) >> 32
 
 
+def repeated_stream(stream: np.ndarray, extra: int) -> np.ndarray:
+    """The stream, then `extra` samples more of it repeated: each circular window of extra + 1 is a slice."""
+    if stream.size == 0:
+        raise ValueError("interferer is empty: it has no sample to delay")
+    copies, part = divmod(stream.size + extra, stream.size)
+    return np.concatenate((stream,) * copies + (stream[:part],))
+
+
 def delayed_interferer(interferer: np.ndarray, length: int) -> np.ndarray:
     """Every delay of the interferer, repeated or cut to length: row d, for d in [0, n], is i[(k - d) mod n].
 
-    A read-only (n + 1, length) view of windows over the interferer
-    repeated to n + length samples (whole copies, then one partial copy),
-    the last window first.  It is the one definition of a delayed
-    interferer; an empty interferer raises ValueError.
+    A read-only (n + 1, length) view of windows over `repeated_stream(interferer, length)`, the last
+    window first.  It is the one definition of a delayed interferer; an empty interferer raises ValueError.
     """
-    if interferer.size == 0:
-        raise ValueError("interferer is empty: it has no sample to delay")
-    copies, part = divmod(interferer.size + length, interferer.size)
-    return sliding_window_view(np.concatenate((interferer,) * copies + (interferer[:part],)), length)[::-1]
+    return sliding_window_view(repeated_stream(interferer, length), length)[::-1]
 
 
 def impair(
@@ -335,6 +341,8 @@ def impair(
     atten_interferer_db: float = math.inf,
     noise_power_dbm: float = -math.inf,
     seed: int = 0,
+    *,
+    length: int | None = None,
 ) -> np.ndarray:
     """Combine attenuated desired and interferer signals plus receiver noise.
 
@@ -345,22 +353,25 @@ def impair(
     unsynchronized transmitter.  Noise is circular complex Gaussian with
     total power noise_power_dbm, I then Q drawn from default_rng(seed),
     which is built only when noise is drawn.  A given seed always gives the
-    same output.
+    same output.  A length in 0..len(desired) forms only the output's first
+    `length` samples, bit for bit: I is drawn for every sample, then Q for these.
     """
     d = _as_samples(desired)
-    out = d * 10.0 ** (-atten_desired_db / 20.0)
+    if not 0 <= (n := d.size if length is None else length) <= d.size:
+        raise ValueError(f"length {length} is not within 0..{d.size}, the desired signal's samples")
+    out = d[:n] * 10.0 ** (-atten_desired_db / 20.0)
 
     if interferer is not None and atten_interferer_db != math.inf:
         i = _as_samples(interferer)
         gain = 10.0 ** (-atten_interferer_db / 20.0)
-        out += delayed_interferer(i, d.size)[interferer_delay(seed, i.size)] * gain
+        out += delayed_interferer(i, n)[interferer_delay(seed, i.size)] * gain
 
     if noise_power_dbm != -math.inf:
-        # one draw of both quadratures: the same stream as drawing I then Q
-        noise = np.random.default_rng(seed).standard_normal((2, d.size))
+        # consecutive draws are one stream: I for all d.size samples, then the Q that n of them need
+        noise = np.random.default_rng(seed).standard_normal(d.size + n)
         noise *= math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
-        out.real += noise[0]
-        out.imag += noise[1]
+        out.real += noise[:n]
+        out.imag += noise[d.size :]
 
     return out
 

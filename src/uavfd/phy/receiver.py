@@ -25,11 +25,13 @@ stream).  At every start, by the triangle and Cauchy-Schwarz inequalities,
 g sqrt(E_min) > sqrt(R), r >= (g sqrt(E_min) - sqrt(R))^2 (else the bound
 is inf): A, L and R are D's largest |p| and leading and trailing half-window
 energies over its starts, Pi the stream's largest |p| and E_min and E_max its
-extreme half-window energies over every circular start.  The sweep prunes a
-head only where its bound is under 0.9 of SYNC_THRESHOLD, a margin rounding
-cannot cross: there g sqrt(E_min) > 3.9 sqrt(R), so the bound's one
-difference loses at most 1.7x to cancellation, and each statistic, like the
-metric, is a difference of running sums of like energy, good to ~1e-12.
+extreme half-window energies over every circular start, read from contiguous
+slices of the stream extended by its wrap.  The sweep prunes a head only
+where its bound is under 0.9 of SYNC_THRESHOLD, a margin rounding cannot
+cross: there g sqrt(E_min) > 3.9 sqrt(R), so the bound's one difference loses
+at most 1.7x to cancellation, and each statistic is a difference of running
+sums over a block of _BOUND_BLOCK starts and a window, about 9,200 terms, off
+by 2e-12 of the block's energy at most: 5e-11 of the rig stream's E_min.
 
 Frequency-offset de-rotation is applied only where it is used: to the
 matched-filter window in `synchronize` and to the FFT windows (CP
@@ -53,11 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fec import fec_decode
-from .modem import OfdmParams, _as_samples, _pilot_matrix, _preamble, _subcarrier_maps, demap_16qam
+from .modem import OfdmParams, _as_samples, _pilot_matrix, _preamble, _subcarrier_maps, demap_16qam, repeated_stream
 
 SYNC_THRESHOLD = 0.5
 _ENERGY_EPS = np.finfo(np.float64).tiny  # the smallest normal float: the metric is scale-free down to it
-_BOUND_BLOCK = 2048  # stream starts per block of gate_bound's statistics: about 200 KB of working arrays
+_BOUND_BLOCK = 8192  # stream starts per block of gate_bound's statistics: about 450 KB of working arrays
 
 
 @dataclass(frozen=True)
@@ -149,19 +151,22 @@ def gate_metric(head: np.ndarray, params: OfdmParams):
 
 def gate_bound(head: np.ndarray, stream: np.ndarray, gains: np.ndarray, params: OfdmParams) -> np.ndarray:
     """For each gain g, a bound (see the module docstring) on `gate_metric(head + g * w)` over every circular
-    head-length window w of stream, whose statistics are taken _BOUND_BLOCK starts at a time."""
-    half = params.fft_size // 2
+    head-length window w of stream, whose statistics are taken _BOUND_BLOCK starts at a time from contiguous
+    slices of the stream extended by its wrap."""
+    half, n = params.fft_size // 2, stream.size
+    wrapped = repeated_stream(stream, 2 * half - 1)
 
     def stats(x):  # x's largest |p| and the energy of each of its half-windows, as differences of running sums
         sums = [np.cumsum(v, out=v) for v in (np.conj(x[:-half]) * x[half:], np.square(x.real) + np.square(x.imag))]
-        p, energies = (c[half - 1 :] - np.concatenate(([0.0], c[:-half])) for c in sums)
-        return np.abs(p).max(), energies
+        for c in sums:
+            c[half:] -= c[:-half]  # numpy reads an operand that overlaps the output as if copied first
+        return np.abs(sums[0][half - 1 :]).max(), sums[1][half - 1 :]
 
     a, energies = stats(head)
     lead, trail = energies[:-half].max(), energies[half:].max()
     pi, e_min, e_max = 0.0, math.inf, 0.0
-    for b in range(0, stream.size, _BOUND_BLOCK):
-        p, energies = stats(stream.take(np.arange(b, b + _BOUND_BLOCK + 2 * half), mode="wrap"))
+    for b in range(0, n, _BOUND_BLOCK):  # the windows of starts b up to min(b + _BOUND_BLOCK, n)
+        p, energies = stats(wrapped[b : min(b + _BOUND_BLOCK, n) + 2 * half - 1])
         pi, e_min, e_max = max(pi, p), min(e_min, energies.min()), max(e_max, energies.max())
     num = a + gains * (math.sqrt(lead * e_max) + math.sqrt(e_max * trail)) + np.square(gains) * pi
     root = gains * math.sqrt(e_min) - math.sqrt(trail)

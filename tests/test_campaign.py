@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,17 @@ from uavfd.phy import (
 )
 from uavfd.phy.modem import _retain_freed_heap, delayed_interferer, splitmix64
 from uavfd.propagation import noise_floor_dbm
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", Path(__file__).parents[1] / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's per-point rules on a waveform sweep against the analytic SINR: one definition for both
+check_sweep_points = _bench_module("workloads").check_sweep_points
 
 
 def test_fixed_geometry():
@@ -371,6 +384,24 @@ def test_sub_grid_rows_are_the_full_sweep_rows(full_sweeps, case, kind):
     assert np.array_equal(_bits(sweep(scenario, grid, SUB_GRID_SEED)), _bits(full.take(rows)))
 
 
+def test_a_sub_grid_without_a_clean_point_forms_the_whole_signal_past_the_gate(monkeypatch, full_sweeps):
+    # every point is interfered, so the gate is given the received head alone; the heads that pass need the
+    # whole signal, formed after the gate, and every row is still that of the full grid
+    sweep, scenario, full = full_sweeps["waveform"]
+    formed = []
+
+    def counted(*args, **kwargs):
+        formed.append(impair(*args, **kwargs))
+        return formed[-1]
+
+    monkeypatch.setattr(campaign, "impair", counted)
+    sub = sweep(scenario, GridSpec(x_end_m=22, y_end_m=6), SUB_GRID_SEED)  # the default grid's first 7 x 4 points
+    assert [out.size for out in formed] == [1088, 33280]
+    assert np.array_equal(formed[0].view(np.int64), formed[1][:1088].view(np.int64))
+    assert (sub.interference_raw_dbm >= scenario.floor_dbm).all() and 0 < np.count_nonzero(sub.sync_ok) < len(sub)
+    assert np.array_equal(_bits(sub), _bits(full.take([i * 16 + j for i in range(7) for j in range(4)])))
+
+
 @settings(max_examples=10, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**64), min_size=2, max_size=2, unique=True))
 def test_two_seeds_differ_at_some_point(scenarios, seeds):
@@ -645,16 +676,22 @@ def test_one_receiver_pass_serves_every_interference_free_point(monkeypatch, sce
 _GATED_HEADS = {"dipole-0.1": 0, "directional-0.1": 137}  # interfered heads whose bound reaches the margin, seed 0
 
 
+_FORMED = {"dipole-0.1": 1088, "directional-0.1": 33280}  # received samples impair forms, seed 0
+
+
 @pytest.mark.parametrize("name,received,heads", [("dipole-0.1", 0, 496), ("directional-0.1", 80, 140)])
 def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenarios, grid, name, received, heads):
-    # impair forms only the received desired signal; the receiver sees the interference-free buffer
-    # and each interfered point whose head passes the gate; every interfered point's head is bounded in
-    # one call, and each whose bound reaches the margin is a row of a batched gate
+    # impair forms only the received desired signal, and in full only where a receiver pass reads it: the
+    # interference-free points' pass on directional-0.1, none on dipole-0.1, where the gate's head is all it
+    # forms; the receiver sees the interference-free buffer and each interfered point whose head passes the
+    # gate; every interfered point's head is bounded in one call, and each whose bound reaches the margin is
+    # a row of a batched gate
     impaired, sizes, bounded = [], [], []
 
     def counted_impair(desired, *args, **kwargs):
-        impaired.append(np.size(getattr(desired, "samples", desired)))
-        return impair(desired, *args, **kwargs)
+        assert np.size(getattr(desired, "samples", desired)) == frame
+        impaired.append(impair(desired, *args, **kwargs))
+        return impaired[-1]
 
     def counted_receive(samples, *args, **kwargs):
         sizes.append(np.size(samples))
@@ -664,10 +701,10 @@ def test_sweep_forms_the_full_rig_buffer_only_past_the_gate(monkeypatch, scenari
     monkeypatch.setattr(campaign, "receive_frame", counted_receive)
     monkeypatch.setattr(campaign, "gate_bound", lambda *args: bounded.append(args[2].size) or gate_bound(*args))
     gated = _count_gate_rows(monkeypatch)
-    run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed=0)
     frame = OfdmParams().frame_samples(campaign.FRAME_SYMBOLS)
+    run_capacity_sweep(replace(scenarios[name], engine="waveform"), grid, seed=0)
     assert gate_length(frame, OfdmParams(), campaign.FRAME_SYMBOLS) == 1088
-    assert impaired == [frame]
+    assert [out.size for out in impaired] == [_FORMED[name]]
     assert (sizes.count(frame), len(sizes)) == (received, received)
     chunk, rows = campaign.GATE_CHUNK_ROWS, _GATED_HEADS[name]
     assert bounded == [heads]
@@ -702,11 +739,13 @@ def test_head_gate_changes_no_row(monkeypatch, scenarios, grid, name, seed):
 @pytest.mark.parametrize("seed", [0, 11])
 def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, grid, name, seed):
     """Each batched head is bit for bit the received head plus the interferer delayed by explicit index;
-    each head the bound prunes, formed that way, has an exact metric under its bound and fails."""
-    formed = {}
+    each head the bound prunes, formed that way, has an exact metric under its bound and fails.  The
+    received head is bit for bit the head of the whole received signal."""
+    formed, calls = {}, {}
 
     def recorded(attr, fn):
         def call(*args, **kwargs):
+            calls.setdefault(attr, []).append(args)
             formed[attr] = fn(*args, **kwargs)
             return formed[attr]
 
@@ -729,10 +768,14 @@ def test_batched_head_metrics_equal_the_per_point_gate(monkeypatch, scenarios, g
     monkeypatch.setattr(campaign, "gate_metric", gate)
     scenario = replace(scenarios[name], engine="waveform")
     table = run_capacity_sweep(scenario, grid, seed)
-    desired, (_, interferer, _), bounds = formed["impair"], formed["rig_frame"], formed["gate_bound"]
+    desired, (frame, interferer, _), bounds = formed["impair"], formed["rig_frame"], formed["gate_bound"]
     gated = iter([(h, m) for heads, metrics in gated for h, m in zip(heads, metrics.tolist())])
     params = OfdmParams()
-    head, n = gate_length(desired.size, params, campaign.FRAME_SYMBOLS), interferer.size
+    head, n = gate_length(frame.samples.size, params, campaign.FRAME_SYMBOLS), interferer.size
+    (rig,) = calls["impair"]  # the received signal is formed once on these grids, and in full if a pass reads it
+    whole = impair(*rig)
+    assert head == 1088 and whole.size == frame.samples.size
+    assert np.array_equal(desired[:head].view(np.int64), whole[:head].view(np.int64))
     rows = np.flatnonzero(table.interference_raw_dbm >= scenario.floor_dbm)
     keys = point_keys(seed, campaign._DELAY_STREAM, np.column_stack((table.x, table.y, table.h))[rows])
     assert len(rows) == bounds.size > 100
@@ -798,6 +841,40 @@ def test_a_head_metric_never_exceeds_its_gate_bound(scenarios, name, seed, near_
     assert metric <= bound
     if bound < prune_below:
         assert metric < SYNC_THRESHOLD
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["directional-0.1", "directional-1.8", "dipole-0.1"]),
+    p_u_dbm=st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB),
+    noise_figure_db=st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB),
+    height=st.floats(0.1, 30.0),
+    x=st.floats(10.0, 70.0),
+    y=st.floats(0.0, 30.0),
+    seed=st.integers(0, 2**32),
+    edge_sinr_db=st.one_of(st.none(), st.floats(-1.5, 1.5)),
+    data=st.data(),
+)
+def test_the_engines_agree_on_a_one_point_grid_over_the_validated_ranges(
+    scenarios, name, p_u_dbm, noise_figure_db, height, x, y, seed, edge_sinr_db, data
+):
+    # the bench's per-point rules: without sync the analytic SINR is under 0 dB and the capacity 0; a synced
+    # point's capacity is the Shannon capacity of its SINR, within criterion 10's 1.0 dB of an analytic 0-25 dB.
+    # Half of the draws solve p_g_dbm for an analytic SINR in -1.5..+1.5 dB, where sync is decided.
+    sc = replace(scenarios[name], p_u_dbm=p_u_dbm, noise_figure_db=noise_figure_db, interferer_height_m=height)
+    grid = GridSpec(x_start_m=x, x_end_m=x, y_start_m=y, y_end_m=y)
+    if edge_sinr_db is None:
+        p_g_dbm = data.draw(st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB), label="p_g_dbm")
+    else:  # the desired level over interference plus noise, less the desired link's gain
+        power = run_power_sweep(replace(sc, p_g_dbm=0.0, floor_dbm=-MAX_LEVEL_DB), grid, seed)
+        i_dbm = power.interference_raw_dbm[0] if power.interference_raw_dbm[0] >= sc.floor_dbm else -math.inf
+        noise_dbm = noise_floor_dbm(sc.bandwidth_hz, noise_figure_db)
+        level = 10.0 * math.log10(10.0 ** (i_dbm / 10.0) + 10.0 ** (noise_dbm / 10.0))
+        p_g_dbm = min(max(edge_sinr_db + level - power.desired_dbm[0], -MAX_LEVEL_DB), MAX_LEVEL_DB)
+    sc = replace(sc, p_g_dbm=p_g_dbm)
+    analytic = run_capacity_sweep(sc, grid, seed)
+    waveform = run_capacity_sweep(replace(sc, engine="waveform"), grid, seed)
+    assert check_sweep_points([r.sinr_db for r in analytic], list(waveform), sc.bandwidth_hz) == [True]
 
 
 _SMALL_GRID = GridSpec(x_step_m=6.0, y_step_m=6.0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavfd.geometry import MAX_LEVEL_DB
 from uavfd.phy import (
     SYNC_THRESHOLD,
     OfdmParams,
@@ -107,7 +108,10 @@ def test_qam_requires_bit_multiple():
         map_16qam([0, 1, 0])
 
 
-@pytest.mark.parametrize("bits", [[0, 0, 0, 2], [0, 0, 0, -1], [1, 1, 1, 16], [0, 1, 0, 1, 0, 0, 3, 0]])
+@pytest.mark.parametrize(
+    "bits",
+    [[0, 0, 0, 2], [0, 0, 0, -1], [1, 1, 1, 16], [0, 1, 0, 1, 0, 0, 3, 0], np.array([0, 0, 0, 2], dtype=np.uint8)],
+)
 def test_qam_rejects_non_binary_bits(bits):
     with pytest.raises(ValueError, match="0 or 1"):
         map_16qam(bits)
@@ -450,6 +454,30 @@ def test_impair_of_a_head_is_the_head_of_impair(seed, length, n, atten):
     assert np.array_equal(head.view(np.int64), full[:n].view(np.int64))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    length=st.integers(1, _RIG_EXACT),
+    with_interferer=st.booleans(),
+    levels=st.tuples(*[st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB)] * 3),
+)
+@example(seed=0, length=1, with_interferer=True, levels=(0.0, 10.0, -30.0))
+@example(seed=0, length=_RIG_EXACT, with_interferer=True, levels=(0.0, 10.0, -30.0))
+def test_impair_of_a_length_is_the_head_of_its_whole_output(seed, length, with_interferer, levels):
+    # the noise is still drawn as I for every sample, then Q: the head's Q is the whole output's first Q
+    interferer = _RIG_STREAM if with_interferer else None
+    head = impair(_RIG_DESIRED, interferer, *levels, seed, length=length)
+    full = impair(_RIG_DESIRED, interferer, *levels, seed)
+    assert head.size == length and np.array_equal(head.view(np.int64), full[:length].view(np.int64))
+
+
+@pytest.mark.parametrize("length", [-1, _RIG_EXACT + 1])
+def test_impair_rejects_a_length_outside_the_desired_signal(length):
+    # a head longer than the signal, or a negative length that would slice from the end, is no head of the output
+    with pytest.raises(ValueError, match=f"length {length} is not within 0..{_RIG_EXACT}"):
+        impair(_RIG_DESIRED, None, 0.0, length=length)
+
+
 def test_impair_deterministic():
     fb = rand_frame(P, 1, seed=8)
     fi = rand_frame(P, 1, seed=9, pilot_stream=1)
@@ -714,17 +742,23 @@ def test_head_timing_metric_is_bit_identical_to_the_full_buffer_one(n_symbols, s
     assert np.array_equal(head_metric.view(np.int64), metric[: last + 1].view(np.int64))
 
 
-@pytest.mark.parametrize("block", [16, 2048])
+@pytest.mark.parametrize("block", [7, 16, 2048])
 def test_gate_bound_is_its_formula_over_statistics_taken_window_by_window(monkeypatch, block):
-    # a small numerology keeps the explicit windows cheap; blocks of 16 starts split the stream 19 ways
-    params, rng = OfdmParams(fft_size=64, cp_length=16, active_subcarriers=48), np.random.default_rng(block)
+    # a small numerology keeps the explicit windows cheap; blocks of 7 and 16 starts divide none of the
+    # streams, and a stream shorter than its window (64 or 1,024 samples) wraps more than once
+    monkeypatch.setattr(receiver, "_BOUND_BLOCK", block)
+    for params, stream_size in [(OfdmParams(64, 16, 48), 300), (OfdmParams(64, 16, 48), 45), (P, 1000)]:
+        _check_gate_bound_by_windows(params, stream_size, np.random.default_rng(block + stream_size))
+
+
+def _check_gate_bound_by_windows(params, stream_size, rng):
+    """gate_bound against its formula over statistics of explicit circular windows, within 1e-12 relative."""
     half = params.fft_size // 2
-    head = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    head = rng.standard_normal(2 * half + 16) + 1j * rng.standard_normal(2 * half + 16)
     head[: 2 * half] *= np.linspace(3.0, 0.5, 2 * half)  # leading half-windows stronger than trailing ones
-    stream = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    stream = rng.standard_normal(stream_size) + 1j * rng.standard_normal(stream_size)
     stream[5:25] *= 4.0  # the extremes sit near the stream's start, where circular windows wrap
     gains = np.geomspace(1e-3, 1e3, 50)
-    monkeypatch.setattr(receiver, "_BOUND_BLOCK", block)
 
     def windows(x, starts, length):  # row s is x[(s + m) % x.size] for m < length
         return x[(np.asarray(starts)[:, None] + np.arange(length)) % x.size]

@@ -15,6 +15,7 @@ A round runs three processes: parent, change and parent again, as [P, C, P'] in 
 [P', C, P] in odd ones, so each side of both pairings goes first in half the rounds.  (P, C) is the
 A/B pair and (P, P') the A/A pair, whose spread is the floor under which no A/B ratio means
 anything.  The last stdout line is one JSON object with every process's points/s and the summary.
+The exit status is 1 when any pass's outputs failed their checks, else 0.
 """
 
 import argparse
@@ -101,6 +102,9 @@ def main(argv=None) -> int:
               f"[{s['ratio_q1']:.4f}, {s['ratio_q3']:.4f}], won {s['won']}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
                       "passes": args.passes, "failed": failed, "points_per_s": sides, "ab": ab, "aa": aa}))
+    if failed:  # a ratio of passes whose outputs failed their checks measures nothing
+        print(f"{failed} checked outputs failed", file=sys.stderr)
+        return 1
     return 0
 
 
