@@ -34,6 +34,13 @@ from .phy import OfdmParams, impair, noise_power_for_subcarrier_snr, receive_fra
 from .placement import ObjectiveKind, PlacementObjective, best_record, feasible_region
 
 
+# count flags' caps, checked before anything is allocated: a modem frame with an interferer takes about
+# 0.15 MB of peak memory per symbol, a plan one table row per UAV and one channel per UAV or unit of separation
+MAX_SYMBOLS = 4096
+MAX_UAVS = 10_000
+MAX_SEPARATION = 10_000
+
+
 class UsageError(Exception):
     """Bad invocation: unknown names, out-of-range flags; exit code 1."""
 
@@ -198,13 +205,19 @@ def _cmd_cdf(args) -> int:
     return 0
 
 
+def _check_count(flag: str, value: int, cap: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1")
+    if value > cap:
+        raise UsageError(f"{flag} must be <= {cap}")
+
+
 def _cmd_modem(args) -> int:
     if args.frames < 1:
         raise UsageError("--frames must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    if args.symbols < 1:
-        raise UsageError("--symbols must be >= 1")
+    _check_count("--symbols", args.symbols, MAX_SYMBOLS)
     params = OfdmParams()
     noise_dbm = noise_power_for_subcarrier_snr(params, args.snr, args.symbols)
 
@@ -236,12 +249,9 @@ def _cmd_modem(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    if args.uavs < 1:
-        raise UsageError("--uavs must be >= 1")
-    try:
-        plan = build_channel_plan(args.uavs, min_separation=args.separation)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    _check_count("--uavs", args.uavs, MAX_UAVS)
+    _check_count("--separation", args.separation, MAX_SEPARATION)
+    plan = build_channel_plan(args.uavs, min_separation=args.separation)
     violations = validate_plan(plan)
     print(format_plan_table(plan))
     if violations:

@@ -392,8 +392,4 @@ def noise_power_for_subcarrier_snr(params: OfdmParams, snr_db: float, n_symbols:
 
 def write_iq(path, samples) -> None:
     """Dump samples as interleaved 32-bit little-endian float (I, Q) pairs."""
-    s = _as_samples(samples)
-    flat = np.empty(2 * s.size, dtype="<f4")
-    flat[0::2] = s.real
-    flat[1::2] = s.imag
-    flat.tofile(path)
+    _as_samples(samples).astype("<c8").tofile(path)

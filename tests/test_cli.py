@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from uavfd.antenna import dipole, horn
 from uavfd.campaign import _SCENARIO_RANGES, GridSpec, builtin_scenarios, read_sweep_csv, write_sweep_csv
-from uavfd.cli import RunConfig, UsageError, build_parser, load_run_config, main
+from uavfd import cli
+from uavfd.cli import MAX_SEPARATION, MAX_SYMBOLS, MAX_UAVS, RunConfig, UsageError, build_parser, load_run_config, main
 from uavfd.geometry import MAX_LEVEL_DB
 
 
@@ -278,6 +279,26 @@ def test_plan_reference_table(capsys):
 def test_plan_zero_uavs_is_usage_error(capsys):
     code, _, err = run(["plan", "--uavs", "0"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "args,flag,cap",
+    [
+        (["modem", "--frames", "1"], "--symbols", MAX_SYMBOLS),
+        (["plan"], "--uavs", MAX_UAVS),
+        (["plan", "--uavs", "2"], "--separation", MAX_SEPARATION),
+    ],
+)
+def test_a_count_flag_past_its_cap_is_usage_error_before_anything_is_built(monkeypatch, capsys, args, flag, cap):
+    def built(*_):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(cli, "rig_frame", built)
+    monkeypatch.setattr(cli, "build_channel_plan", built)
+    code, out, err = run([*args, flag, str(cap + 1)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} must be <= {cap}\n"
 
 
 @pytest.mark.parametrize("command", ["cdf", "place"])

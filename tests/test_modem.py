@@ -39,7 +39,7 @@ from uavfd.phy.modem import (
     interferer_delay,
     splitmix64,
 )
-from uavfd.phy.receiver import _derotate, _refine_window, _timing_metric
+from uavfd.phy.receiver import _derotate, _refine_window, _timing_metric, _window_sums
 
 P = OfdmParams()
 
@@ -742,13 +742,27 @@ def test_head_timing_metric_is_bit_identical_to_the_full_buffer_one(n_symbols, s
     assert np.array_equal(head_metric.view(np.int64), metric[: last + 1].view(np.int64))
 
 
-@pytest.mark.parametrize("block", [7, 16, 2048])
-def test_gate_bound_is_its_formula_over_statistics_taken_window_by_window(monkeypatch, block):
-    # a small numerology keeps the explicit windows cheap; blocks of 7 and 16 starts divide none of the
-    # streams, and a stream shorter than its window (64 or 1,024 samples) wraps more than once
-    monkeypatch.setattr(receiver, "_BOUND_BLOCK", block)
+@pytest.mark.parametrize("seed", [7, 16, 2048])
+def test_gate_bound_is_its_formula_over_statistics_taken_window_by_window(seed):
+    # a small numerology keeps the explicit windows cheap; a stream shorter than its window (64 or 1,024
+    # samples) wraps more than once
     for params, stream_size in [(OfdmParams(64, 16, 48), 300), (OfdmParams(64, 16, 48), 45), (P, 1000)]:
-        _check_gate_bound_by_windows(params, stream_size, np.random.default_rng(block + stream_size))
+        _check_gate_bound_by_windows(params, stream_size, np.random.default_rng(seed + stream_size))
+
+
+def test_a_silent_heads_gate_bound_is_the_streams_peak_correlation_over_its_weakest_half_window():
+    # the stream's largest |p| lies at its last circular start alone, the window that wraps from sample n - 1
+    params, n = OfdmParams(64, 16, 48), 300
+    half, rng = params.fft_size // 2, np.random.default_rng(3)
+    stream = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    lead, trail = (n - 1 + np.arange(half)) % n, (n - 1 + half + np.arange(half)) % n
+    stream[lead] = stream[trail] = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    windows = stream[(np.arange(n)[:, None] + np.arange(2 * half)) % n]
+    p = np.abs(np.sum(np.conj(windows[:, :half]) * windows[:, half:], axis=1))
+    assert np.argmax(p) == n - 1
+    energy = np.sum(np.abs(windows[:, :half]) ** 2, axis=1)
+    bound = receiver.gate_bound(np.zeros(2 * half + 16, complex), stream, np.array([0.5, 2.0]), params)
+    np.testing.assert_allclose(bound, p.max() / energy.min(), rtol=1e-12)
 
 
 def _check_gate_bound_by_windows(params, stream_size, rng):
@@ -805,6 +819,29 @@ def test_timing_metric_matches_the_windowed_sums(shape):
         want_p, want_metric = _windowed_timing_metric(row, half)
         np.testing.assert_allclose(p_row, want_p, rtol=1e-12, atol=0)
         np.testing.assert_allclose(metric_row, want_metric, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1500,), (3, 1300)])
+def test_timing_metric_p_is_the_difference_of_one_zero_prefixed_running_sum(shape):
+    rng = np.random.default_rng(shape[-1])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    half = P.fft_size // 2
+    cs = np.zeros((*shape[:-1], shape[-1] - half + 1), complex)  # cs[..., k] sums the first k products
+    np.cumsum(np.conj(x[..., :-half]) * x[..., half:], axis=-1, out=cs[..., 1:])
+    want = cs[..., half:] - cs[..., :-half]
+    p = _timing_metric(x, half)[0]
+    assert p.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(p).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_window_sums_of_zeros_after_loud_samples_are_exactly_zero(dtype):
+    rng = np.random.default_rng(5)
+    loud = 1e6 * (rng.standard_normal(500) + (1j * rng.standard_normal(500) if dtype is np.complex128 else 0.0))
+    sums = _window_sums(np.r_[loud, np.zeros(300, dtype)], 64)
+    assert sums.dtype == dtype and sums.size == 800 - 64 + 1
+    assert np.abs(sums[: loud.size - 63]).min() > 0.0
+    assert np.all(sums[loud.size :] == 0.0)
 
 
 def test_timing_metric_of_an_all_zero_window_is_exactly_zero():
