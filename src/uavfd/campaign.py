@@ -457,7 +457,7 @@ def run_capacity_sweep(scenario: ScenarioConfig, grid: GridSpec, seed: int = 0) 
         # every interference-free point sees the same rig input, so one pass serves them all;
         # only an interfered point whose head passes the gate has its full buffer formed and received
         passes = [(clean, None)] if clean.size else []
-        passes += [([i], j) for j, i in enumerate(interfered.tolist()) if metrics[j] >= SYNC_THRESHOLD]
+        passes += [([interfered[j]], j) for j in np.flatnonzero(metrics >= SYNC_THRESHOLD).tolist()]
         desired = impair(*rig) if passes and not clean.size else desired  # a passing head's pass reads it whole
         buf = np.empty_like(desired)  # every passing point's buffer, reused so that a pass stays in cache
         for rows, j in passes:

@@ -34,7 +34,7 @@ from .phy import OfdmParams, impair, noise_power_for_subcarrier_snr, receive_fra
 from .placement import ObjectiveKind, PlacementObjective, best_record, feasible_region
 
 
-# count flags' caps, checked before anything is allocated: a modem frame with an interferer takes about
+# count flags' caps, checked while the arguments are parsed: a modem frame with an interferer takes about
 # 0.15 MB of peak memory per symbol, a plan one table row per UAV and one channel per UAV or unit of separation
 MAX_SYMBOLS = 4096
 MAX_UAVS = 10_000
@@ -107,11 +107,14 @@ def _overrides(path: Path, entries: dict[str, tuple[str, int]], keys: dict) -> d
     return {field: _coerce(path, key, *entries[key], kind) for key, (field, kind) in keys.items() if key in entries}
 
 
-def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str | None) -> RunConfig:
-    """Build a RunConfig from a config file, or from none (a path of None), plus the --scenario flag.
+def load_run_config(
+    path, presets: dict[str, ScenarioConfig], scenario_flag=None, engine=None, seed=None, out=None
+) -> RunConfig:
+    """The run a sweep executes, from a config file (or none: a path of None) and the sweep flags.
 
-    The flag wins over the file's `scenario` key; everything else in the
-    file overrides the chosen preset.  `antenna.*` values replace fields of
+    A flag (--scenario, --engine, --seed, --out) beats its file key
+    (`scenario.engine` for --engine), which beats the default; every other
+    key overrides the chosen preset.  `antenna.*` values replace fields of
     the preset's antenna, or of a stock horn()/dipole() when `antenna.kind`
     is given.  With no file the run is the preset on GridSpec(), seed 0, out `.`.
     """
@@ -132,7 +135,7 @@ def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str
         raise UsageError(f"unknown scenario {name!r}; available: {', '.join(sorted(presets))}")
     scenario = presets[name]
 
-    scen_kw = _overrides(path, entries, _SCENARIO_KEYS)
+    scen_kw = _overrides(path, entries, _SCENARIO_KEYS) | ({"engine": engine} if engine else {})
     ant_kw = _overrides(path, entries, _ANTENNA_KEYS)
     try:
         if "antenna.kind" in entries:
@@ -151,29 +154,20 @@ def load_run_config(path, presets: dict[str, ScenarioConfig], scenario_flag: str
     except ValueError as e:
         raise DataError(f"{path}: invalid grid: {e}") from e
 
-    seed = 0
-    if "seed" in entries:
+    if seed is None and "seed" in entries:
         value, lineno = entries["seed"]
         seed = _coerce(path, "seed", value, lineno, int)
         if seed < 0:
             raise DataError(f"{path}:{lineno}: seed must be >= 0")
-    out_dir = Path(entries["out"][0]) if "out" in entries else Path(".")
-    return RunConfig(scenario=scenario, grid=grid, seed=seed, out_dir=out_dir)
+    out_dir = Path(out or (entries["out"][0] if "out" in entries else "."))
+    return RunConfig(scenario=scenario, grid=grid, seed=seed or 0, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_sweep(args) -> int:
-    run = load_run_config(args.config, builtin_scenarios(), args.scenario)
-    run = replace(
-        run,
-        scenario=replace(run.scenario, engine=args.engine or run.scenario.engine),
-        seed=run.seed if args.seed is None else args.seed,
-        out_dir=Path(args.out or run.out_dir),
-    )
-    if run.seed < 0:  # a file's negative seed is a data error in load_run_config
-        raise UsageError("--seed must be >= 0")
+    run = load_run_config(args.config, builtin_scenarios(), args.scenario, args.engine, args.seed, args.out)
     try:
         capacity = run_capacity_sweep(run.scenario, run.grid, run.seed)
     except ValueError as e:
@@ -205,19 +199,7 @@ def _cmd_cdf(args) -> int:
     return 0
 
 
-def _check_count(flag: str, value: int, cap: int) -> None:
-    if value < 1:
-        raise UsageError(f"{flag} must be >= 1")
-    if value > cap:
-        raise UsageError(f"{flag} must be <= {cap}")
-
-
 def _cmd_modem(args) -> int:
-    if args.frames < 1:
-        raise UsageError("--frames must be >= 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
-    _check_count("--symbols", args.symbols, MAX_SYMBOLS)
     params = OfdmParams()
     noise_dbm = noise_power_for_subcarrier_snr(params, args.snr, args.symbols)
 
@@ -249,8 +231,6 @@ def _cmd_modem(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    _check_count("--uavs", args.uavs, MAX_UAVS)
-    _check_count("--separation", args.separation, MAX_SEPARATION)
     plan = build_channel_plan(args.uavs, min_separation=args.separation)
     violations = validate_plan(plan)
     print(format_plan_table(plan))
@@ -313,6 +293,21 @@ def _threshold(text: str) -> float:
     return value
 
 
+def _int_within(flag: str, low: int, cap=math.inf):
+    """argparse type for an integer flag within low..cap: out of range is a UsageError naming the flag."""
+
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise UsageError(f"{flag} must be >= {low}")
+        if value > cap:
+            raise UsageError(f"{flag} must be <= {cap}")
+        return value
+
+    check.__name__ = "int"  # so that a non-integer still reads argparse's "invalid int value: 'x'"
+    return check
+
+
 @functools.cache  # parse_args keeps no state, so repeated in-process calls to main share one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uavfd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run power and capacity sweeps for a scenario, write CSVs")
     p.add_argument("--scenario", help="scenario preset id (see --help of errors for the list)")
     p.add_argument("--engine", choices=["analytic", "waveform"], help="override the scenario engine")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_within("--seed", 0), default=None)
     p.add_argument("--out", help="output directory (default .)")
     p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(func=_cmd_sweep)
@@ -335,17 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modem", help="modem EVM/SINR calibration at a given SNR and SIR")
     p.add_argument("--snr", type=_float_or_inf, default=math.inf, help="per-subcarrier SNR in dB, or inf")
     p.add_argument("--sir", type=_float_or_inf, default=math.inf, help="signal-to-interference in dB, or inf")
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--symbols", type=int, default=28, help="OFDM data symbols per frame")
+    p.add_argument("--frames", type=_int_within("--frames", 1), default=100)
+    p.add_argument("--seed", type=_int_within("--seed", 0), default=0)
+    p.add_argument(
+        "--symbols", type=_int_within("--symbols", 1, MAX_SYMBOLS), default=28, help="OFDM data symbols per frame"
+    )
     p.add_argument("--dump-iq", help="dump the first impaired frame as float32 IQ")
     p.set_defaults(func=_cmd_modem)
 
     p = sub.add_parser("plan", help="print the channel-reuse plan table")
-    p.add_argument("--uavs", type=int, required=True)
+    p.add_argument("--uavs", type=_int_within("--uavs", 1, MAX_UAVS), required=True)
     p.add_argument(
         "--separation",
-        type=int,
+        type=_int_within("--separation", 1, MAX_SEPARATION),
         default=1,
         help="min channel-index separation per UAV (the canonical two-UAV assignment uses adjacent indices)",
     )

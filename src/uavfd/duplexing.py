@@ -51,7 +51,6 @@ class InterferenceEdge:
 
 @dataclass(frozen=True)
 class ChannelPlan:
-    n_uavs: int
     channels: tuple[Channel, ...]
     assignments: tuple[Assignment, ...]
     pairs: tuple[tuple[int, int], ...]
@@ -92,7 +91,7 @@ def build_channel_plan(n_uavs: int, min_separation: int = DEFAULT_MIN_SEPARATION
             assignments.append(Assignment(uav=b, uplink=hi, downlink=lo))
             pairs.append((a, b))
 
-    return ChannelPlan(n_uavs, channels, tuple(assignments), tuple(pairs), min_separation)
+    return ChannelPlan(channels, tuple(assignments), tuple(pairs), min_separation)
 
 
 def interference_edges(plan: ChannelPlan) -> list[InterferenceEdge]:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from uavfd.antenna import dipole, horn
 from uavfd.campaign import _SCENARIO_RANGES, GridSpec, builtin_scenarios, read_sweep_csv, write_sweep_csv
 from uavfd import cli
 from uavfd.cli import MAX_SEPARATION, MAX_SYMBOLS, MAX_UAVS, RunConfig, UsageError, build_parser, load_run_config, main
+from uavfd.duplexing import Assignment, Channel, ChannelPlan
 from uavfd.geometry import MAX_LEVEL_DB
 
 
@@ -281,6 +283,16 @@ def test_plan_zero_uavs_is_usage_error(capsys):
     assert code == 1
 
 
+def test_plan_prints_its_table_and_each_violation_and_exits_2(monkeypatch, capsys):
+    # build_channel_plan never builds an invalid plan, so a hand-built one stands in for it
+    bad = ChannelPlan((Channel(1, 5.7e9),), (Assignment(uav=1, uplink=1, downlink=1),), (), 1)
+    monkeypatch.setattr(cli, "build_channel_plan", lambda *_, **__: bad)
+    code, out, err = run(["plan", "--uavs", "1"], capsys)
+    assert code == 2
+    assert "UAV#1" in out
+    assert err == "violation: UAV#1: same channel for Tx and Rx (Ch1)\n"
+
+
 @pytest.mark.parametrize(
     "args,flag,cap",
     [
@@ -299,6 +311,27 @@ def test_a_count_flag_past_its_cap_is_usage_error_before_anything_is_built(monke
     assert code == 1
     assert out == ""
     assert err == f"error: {flag} must be <= {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        (["modem", "--frames", "0"], "error: --frames must be >= 1"),
+        (["modem", "--seed", "-1"], "error: --seed must be >= 0"),
+        (["modem", "--frames", "2.5"], "error: argument --frames: invalid int value: '2.5'"),
+        (["plan", "--uavs", "2", "--separation", "0"], "error: --separation must be >= 1"),
+        (["plan", "--uavs", "two"], "error: argument --uavs: invalid int value: 'two'"),
+        (["sweep", "--scenario", "directional-0.1", "--seed", "-1"], "error: --seed must be >= 0"),
+    ],
+)
+def test_a_count_or_seed_below_its_floor_is_usage_error_before_anything_is_built(monkeypatch, capsys, args, line):
+    def built(*_, **__):
+        raise AssertionError("built before the flag was checked")
+
+    for name in ("rig_frame", "build_channel_plan", "run_capacity_sweep"):
+        monkeypatch.setattr(cli, name, built)
+    code, out, err = run(args, capsys)
+    assert (code, out, err) == (1, "", line + "\n")
 
 
 @pytest.mark.parametrize("command", ["cdf", "place"])
@@ -454,6 +487,26 @@ def test_load_run_config_without_a_file_is_the_preset_on_the_default_grid():
     assert load_run_config(None, presets, "directional-0.1") == want
     with pytest.raises(UsageError, match=r"^sweep needs --scenario \(or --config with a scenario key\)$"):
         load_run_config(None, presets, None)
+
+
+def test_the_sweep_runs_exactly_the_run_load_run_config_builds_from_a_file_and_flags(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    keys = f"scenario = dipole-0.1\nseed = 9\nout = {tmp_path / 'kept'}\nscenario.engine = waveform\ngrid.y_end = 2\n"
+    cfg.write_text(keys)
+    presets = builtin_scenarios()
+    flags = ["directional-0.1", "analytic", 3, str(tmp_path / "c")]
+    want = RunConfig(replace(presets["directional-0.1"], engine="analytic"), GridSpec(y_end_m=2.0), 3, tmp_path / "c")
+    assert load_run_config(cfg, presets, *flags) == want
+    # with no flag, every file key holds
+    kept = RunConfig(replace(presets["dipole-0.1"], engine="waveform"), GridSpec(y_end_m=2.0), 9, tmp_path / "kept")
+    assert load_run_config(cfg, presets) == kept
+
+    swept, sweep = [], cli.run_capacity_sweep
+    monkeypatch.setattr(cli, "run_capacity_sweep", lambda *a: swept.append(a) or sweep(*a))
+    argv = ["--config", str(cfg), "--scenario", flags[0], "--engine", flags[1], "--seed", "3", "--out", flags[3]]
+    assert run(["sweep", *argv], capsys)[0] == 0
+    assert swept == [(want.scenario, want.grid, want.seed)]
+    assert len(_sweep_bytes(want.out_dir)) == 4 and not (tmp_path / "kept").exists()
 
 
 def test_config_without_a_scenario_is_data_error(tmp_path, capsys):
@@ -684,6 +737,19 @@ def test_failed_sweep_leaves_no_output_directory(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_an_output_directory_under_a_regular_file_is_data_error_after_the_sweep(monkeypatch, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    swept, sweep = [], cli.run_capacity_sweep
+    monkeypatch.setattr(cli, "run_capacity_sweep", lambda *a: swept.append(a) or sweep(*a))
+    out_dir = blocker / "dir"
+    code, out, err = run(["sweep", "--scenario", "directional-0.1", "--out", str(out_dir)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot create output directory {out_dir}: ")
+    assert len(swept) == 1
+    assert blocker.read_text() == "not a directory\n" and sorted(tmp_path.iterdir()) == [blocker]
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -883,6 +949,34 @@ def test_config_malformed_line(tmp_path, capsys):
     code, _, err = run(["sweep", "--config", str(cfg)], capsys)
     assert code == 2
     assert "bad.cfg:1" in err
+
+
+@pytest.mark.parametrize("target", ["a directory", "a missing file"])
+def test_an_unreadable_config_is_data_error(tmp_path, capsys, target):
+    cfg = tmp_path if target == "a directory" else tmp_path / "missing.cfg"
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cfg}: cannot read config: ")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("scenario = directional-0.1\nseed =\n", "2: empty key or value"),
+        ("scenario = directional-0.1\n= 3\n", "2: empty key or value"),
+        ("seed = 1\nscenario = directional-0.1\nseed = 2\n", "3: duplicate key 'seed' (first set on line 1)"),
+        (
+            "scenario = directional-0.1\nantenna.kind = yagi\n",
+            "2: antenna.kind must be horn or dipole, got 'yagi'",
+        ),
+    ],
+)
+def test_a_bad_config_line_is_data_error_naming_its_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run(["sweep", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {cfg}:{message}\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_usage_error_on_bad_flag(capsys):

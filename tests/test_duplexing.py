@@ -91,7 +91,6 @@ def test_no_uav_is_source_and_victim_on_same_channel():
 
 def test_same_channel_violation():
     plan = ChannelPlan(
-        n_uavs=1,
         channels=(Channel(1, 5.7e9), Channel(2, 5.71e9)),
         assignments=(Assignment(uav=1, uplink=1, downlink=1),),
         pairs=(),
@@ -103,7 +102,6 @@ def test_same_channel_violation():
 
 def test_separation_violation():
     plan = ChannelPlan(
-        n_uavs=2,
         channels=(Channel(1, 5.7e9), Channel(2, 5.71e9)),
         assignments=(
             Assignment(uav=1, uplink=1, downlink=2),
@@ -118,7 +116,6 @@ def test_separation_violation():
 
 def test_duplicate_channel_use_violation():
     plan = ChannelPlan(
-        n_uavs=2,
         channels=(Channel(1, 5.7e9), Channel(2, 5.71e9), Channel(3, 5.72e9)),
         assignments=(
             Assignment(uav=1, uplink=1, downlink=2),
@@ -134,13 +131,31 @@ def test_duplicate_channel_use_violation():
 def test_channel_outside_the_table_violation():
     # build_channel_plan never assigns an unknown channel, so only a hand-built plan reaches this check
     plan = ChannelPlan(
-        n_uavs=1,
         channels=(Channel(1, 5.7e9), Channel(2, 5.71e9)),
         assignments=(Assignment(uav=1, uplink=1, downlink=4),),
         pairs=(),
         min_separation=1,
     )
     assert validate_plan(plan) == ["UAV#1: downlink Ch4 not in the channel table"]
+
+
+def test_pair_without_cross_reuse_violation():
+    # UAV#2 sends on Ch3, not on UAV#1's downlink Ch2
+    plan = ChannelPlan(
+        channels=(Channel(1, 5.7e9), Channel(2, 5.71e9), Channel(3, 5.72e9)),
+        assignments=(
+            Assignment(uav=1, uplink=1, downlink=2),
+            Assignment(uav=2, uplink=3, downlink=1),
+        ),
+        pairs=((1, 2),),
+        min_separation=1,
+    )
+    assert validate_plan(plan) == ["pair (UAV#1, UAV#2): channels are not cross-reused"]
+
+
+def test_interference_edge_cannot_be_a_self_loop():
+    with pytest.raises(ValueError, match="^interference edge cannot be a self-loop$"):
+        InterferenceEdge(1, 1, 1)
 
 
 def test_impossible_channel_budget():

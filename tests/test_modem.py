@@ -31,6 +31,7 @@ from uavfd.phy import receiver
 from uavfd.phy.fec import TAIL_BITS
 from uavfd.phy.modem import (
     BITS_PER_SYMBOL,
+    FrameBuffer,
     _QAM_SCALE,
     _pilot_matrix,
     _preamble,
@@ -211,6 +212,21 @@ def test_params_validation():
         OfdmParams(cp_length=1024)
     with pytest.raises(ValueError):
         OfdmParams(pilot_spacing=7)  # does not divide 600
+    with pytest.raises(ValueError, match=r"^active_subcarriers must be even \(symmetric around DC\)$"):
+        OfdmParams(active_subcarriers=601)
+    with pytest.raises(ValueError, match="^fft_size must be even$"):
+        OfdmParams(fft_size=1025)
+
+
+def test_payload_bits_needs_a_symbol():
+    with pytest.raises(ValueError, match="^n_symbols must be >= 1$"):
+        P.payload_bits(0)
+
+
+def test_frame_buffer_checks_its_sample_count_against_its_length():
+    fb = rand_frame(P, 2, seed=3)
+    with pytest.raises(ValueError, match=f"^frame length {fb.samples.size - 1} != expected {fb.samples.size}$"):
+        FrameBuffer(fb.samples[1:], P, 2, fb.data_symbols, fb.payload)
 
 
 def test_pilot_rows_differ_between_symbols_and_streams():
@@ -690,6 +706,12 @@ def test_receive_frame_syncs_exactly_when_the_feasible_search_fits_a_frame(shape
     assert near >= 30
     # every outcome the buffer shape allows occurs: a short buffer never syncs, even where a feasible start passes
     assert outcomes == ({(True, False), (False, False)} if shape == "short" else {(True, True), (False, False)})
+
+
+def test_receive_frame_needs_a_2d_reference():
+    fb = rand_frame(P, 1, seed=4)
+    with pytest.raises(ValueError, match=r"^reference_symbols must be \(n_symbols, n_data\)$"):
+        receive_frame(fb.samples, P, fb.data_symbols[0], decode=False)
 
 
 def test_a_stronger_peak_where_the_frame_cannot_fit_does_not_capture_sync():
